@@ -1,16 +1,10 @@
 #include "ops/atmult.h"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 #include <limits>
-#include <memory>
 #include <sstream>
-#include <utility>
-#include <vector>
 
 #include "common/check.h"
-#include "common/math_util.h"
 #include "common/timer.h"
 #include "estimate/density_estimator.h"
 #include "estimate/water_level.h"
@@ -19,10 +13,9 @@
 #if defined(ATMX_OBS_ENABLED)
 #include "obs/audit_ledger.h"
 #endif
+#include "ops/chain_exec.h"
 #include "ops/optimizer.h"
-#include "ops/product_task.h"
 #include "tile/partitioner.h"
-#include "topology/thread_pool.h"
 
 namespace atmx {
 
@@ -80,19 +73,6 @@ ATMatrix AtMult::Multiply(const ATMatrix& a, const ATMatrix& b,
   return MultiplyImpl(nullptr, a, b, stats);
 }
 
-ATMatrix AtMult::Multiply(const ATMatrix& a, const ATMatrix& b,
-                          AtMultStats* stats, ConversionCache* a_cache,
-                          ConversionCache* b_cache) const {
-  return MultiplyImpl(nullptr, a, b, stats, a_cache, b_cache);
-}
-
-ATMatrix AtMult::Multiply(const ATMatrix& a, const ATMatrix& b,
-                          AtMultStats* stats, ConversionCache* a_cache,
-                          ConversionCache* b_cache,
-                          double rho_w_override) const {
-  return MultiplyImpl(nullptr, a, b, stats, a_cache, b_cache, rho_w_override);
-}
-
 ATMatrix AtMult::Multiply(const CsrMatrix& a, const ATMatrix& b,
                           AtMultStats* stats) const {
   return MultiplyImpl(nullptr, AtmFromCsr(a, config_), b, stats);
@@ -122,340 +102,112 @@ ATMatrix AtMult::MultiplyAdd(const ATMatrix& c, const ATMatrix& a,
 }
 
 ATMatrix AtMult::MultiplyImpl(const ATMatrix* c_init, const ATMatrix& a,
-                              const ATMatrix& b, AtMultStats* stats,
-                              ConversionCache* a_cache,
-                              ConversionCache* b_cache,
-                              double rho_w_override) const {
+                              const ATMatrix& b, AtMultStats* stats) const {
+  // Each operand gets its own private JIT conversion cache, so a == b
+  // converts each side's tiles independently.
+  ConversionCache a_cache;
+  ConversionCache b_cache;
+  internal::ProductNodeSpec node;
+  node.left = &a;
+  node.left_cache = &a_cache;
+  node.right = &b;
+  node.right_cache = &b_cache;
+  node.c_init = c_init;
+  AtMultStats local_stats;
+  return internal::MultiplyNode(*this, node,
+                                stats != nullptr ? stats : &local_stats);
+}
+
+namespace internal {
+
+ATMatrix MultiplyNode(const AtMult& op, ProductNodeSpec node,
+                      AtMultStats* stats) {
+  const ATMatrix& a = *node.left;
+  const ATMatrix& b = *node.right;
   ATMX_CHECK_EQ(a.cols(), b.rows());
   ATMX_CHECK_EQ(a.b_atomic(), b.b_atomic());
-  AtMultStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  *stats = AtMultStats();
-
+  const AtmConfig& config = op.config();
   WallTimer total_timer;
-  const index_t block = a.b_atomic();
   ATMX_TRACE_SPAN_ARGS("op", "atmult",
                        {"m", a.rows()}, {"k", a.cols()}, {"n", b.cols()},
                        {"nnz_a", a.nnz()}, {"nnz_b", b.nnz()});
 #if defined(ATMX_OBS_ENABLED)
-  const bool audit_enabled = obs::DecisionLog::Global().enabled();
   const bool ledger_enabled = obs::AuditLedger::Global().enabled();
-  const std::uint64_t op_id = (audit_enabled || ledger_enabled)
-                                  ? obs::DecisionLog::Global().NextOpId()
-                                  : 0;
+  if (obs::DecisionLog::Global().enabled() || ledger_enabled) {
+    node.op_id = obs::DecisionLog::Global().NextOpId();
+  }
 #endif
 
   // --- Density estimation + flexible write threshold (Alg. 2 l. 2-3). ---
   DensityMap estimate;
-  double rho_w = config_.rho_write;
+  double estimate_seconds = 0.0;
   bool wl_feasible = true;
-  const bool use_estimate = config_.density_estimation;
+  const bool use_estimate = config.density_estimation;
   if (use_estimate) {
     ATMX_TRACE_SPAN("op", "estimate_density");
     WallTimer est_timer;
     estimate = EstimateProductDensity(a.density_map(), b.density_map());
-    if (c_init != nullptr) {
-      estimate = CombineAdditive(estimate, c_init->density_map());
+    if (node.c_init != nullptr) {
+      estimate = CombineAdditive(estimate, node.c_init->density_map());
     }
-    if (rho_w_override >= 0.0) {
-      // The caller (chain executor) already solved the water level
-      // chain-wide; its per-product threshold replaces the local solve.
-      rho_w = rho_w_override;
-    } else {
-      rho_w = EffectiveWriteThreshold(estimate, config_.rho_write,
-                                      config_.result_mem_limit_bytes,
-                                      &wl_feasible);
+    // A preset threshold (the chain executor solved the water level
+    // chain-wide) replaces the local solve.
+    if (node.rho_w < 0.0) {
+      node.rho_w = EffectiveWriteThreshold(estimate, config.rho_write,
+                                           config.result_mem_limit_bytes,
+                                           &wl_feasible);
     }
-    stats->estimate_seconds = est_timer.ElapsedSeconds();
+    node.estimate = &estimate;
+    estimate_seconds = est_timer.ElapsedSeconds();
+  } else {
+    node.rho_w = config.rho_write;
   }
-  stats->effective_write_threshold = rho_w;
-  ATMX_GAUGE_SET("atmult.waterlevel.rho_w", rho_w);
+  ATMX_GAUGE_SET("atmult.waterlevel.rho_w", node.rho_w);
 #if defined(ATMX_OBS_ENABLED)
   std::uint64_t projected_bytes = 0;
   if (use_estimate) {
     // Projected result memory at the effective threshold — the number the
     // mem-tracker high-water mark (mem.high_water_bytes) and the realized
     // result size (atmult.result_bytes) are compared against.
-    projected_bytes = EstimateMemoryBytes(estimate, rho_w);
+    projected_bytes = EstimateMemoryBytes(estimate, node.rho_w);
     const double projected = static_cast<double>(projected_bytes);
     ATMX_GAUGE_SET("atmult.waterlevel.predicted_bytes", projected);
-    if (config_.result_mem_limit_bytes !=
+    if (config.result_mem_limit_bytes !=
         std::numeric_limits<std::size_t>::max()) {
       // Water-level headroom: how far under the memory SLA the projected
       // result stays at the effective threshold (negative = infeasible
       // SLA).
       ATMX_GAUGE_SET(
           "atmult.waterlevel.headroom_bytes",
-          static_cast<double>(config_.result_mem_limit_bytes) - projected);
+          static_cast<double>(config.result_mem_limit_bytes) - projected);
     }
   }
 #endif
 
-  const index_t num_ti = a.num_row_bands();
-  const index_t num_tj = b.num_col_bands();
-  const index_t num_tasks = num_ti * num_tj;
-  std::vector<Tile> c_tiles(static_cast<std::size_t>(num_tasks));
-
-  // JIT conversion cache: private per operation unless the caller injects
-  // shared caches (the chain executor shares one cache per source matrix,
-  // addressed with the kLeft key space on both sides; the private cache is
-  // one object split by side). Per-operation conversion counts are deltas
-  // so an injected cache's earlier hits are not re-counted.
-  ConversionCache local_cache;
-  const bool a_injected = a_cache != nullptr;
-  const bool b_injected = b_cache != nullptr;
-  if (!a_injected) a_cache = &local_cache;
-  if (!b_injected) b_cache = &local_cache;
-  const index_t s2d_before =
-      a_cache->sparse_to_dense_count() +
-      (b_cache == a_cache ? 0 : b_cache->sparse_to_dense_count());
-  const index_t d2s_before =
-      a_cache->dense_to_sparse_count() +
-      (b_cache == a_cache ? 0 : b_cache->dense_to_sparse_count());
-  Mutex stats_mutex;
-#if defined(ATMX_OBS_ENABLED)
-  // Result-tile bytes recorded with the mem tracker during this operation;
-  // released at the end (ownership passes to the caller) so the tracker
-  // follows the operator-transient footprint.
-  std::atomic<std::uint64_t> op_tracked_bytes{0};
-#endif
-
-  // Per-atomic-block non-zero counts of the result, accumulated in-task
-  // while the produced tile is still cache-hot (C tiles cover disjoint,
-  // block-aligned regions, so tasks write disjoint grid cells). This grid
-  // becomes the result's density map without a second full pass.
-  DensityMap c_map(a.rows(), b.cols(), block);
-  const index_t grid_cols = c_map.grid_cols();
-  std::vector<double> block_counts(
-      static_cast<std::size_t>(c_map.grid_rows()) * grid_cols, 0.0);
-
-  const int teams = config_.EffectiveTeams();
-  const int threads = config_.EffectiveThreadsPerTeam();
-  TeamScheduler scheduler(teams, threads);
-
-  internal::ProductContext pctx;
-  pctx.a = internal::OperandView::FromMatrix(a);
-  pctx.b = internal::OperandView::FromMatrix(b);
-  pctx.block = block;
-  pctx.use_estimate = use_estimate;
-  pctx.estimate = &estimate;
-  pctx.rho_w = rho_w;
-  pctx.dynamic_conversion = config_.dynamic_conversion;
-  pctx.cost_model = &cost_model_;
-  pctx.a_cache = a_cache;
-  pctx.a_cache_side = ConversionCache::kLeft;
-  pctx.b_cache = b_cache;
-  // The private cache is one object for both operands, split by key side;
-  // injected caches are per-matrix objects addressed uniformly as kLeft.
-  pctx.b_cache_side =
-      b_injected ? ConversionCache::kLeft : ConversionCache::kRight;
-  pctx.c_init = c_init;
-  pctx.c_tiles = &c_tiles;
-  pctx.block_counts = &block_counts;
-  pctx.grid_cols = grid_cols;
-  pctx.stats = stats;
-  pctx.stats_mutex = &stats_mutex;
-#if defined(ATMX_OBS_ENABLED)
-  pctx.op_id = op_id;
-  pctx.audit_enabled = audit_enabled;
-  pctx.ledger_enabled = ledger_enabled;
-  pctx.tracked_bytes = &op_tracked_bytes;
-  if (ledger_enabled) {
-    // The counterfactual replay re-runs DecidePairRepresentations with
-    // the parameters this operation actually decided with.
-    obs::AuditLedger::Global().SetCostParams(cost_model_.params());
-  }
-#endif
-
-  auto run_task = [&](WorkerTeam& team, index_t task) {
-    internal::RunProductTileTask(pctx, team, task);
-  };
-
-
-  ScheduleOptions sched_options;
-  sched_options.work_stealing = config_.work_stealing;
-  if (config_.work_stealing && num_tasks > 0) {
-    // Per-task FLOP/byte cost estimates for LPT queue ordering, O(1) per
-    // task from per-band aggregate densities (the per-pair refinement
-    // happens later inside the task; queue order only needs magnitudes).
-    const index_t k_blocks = CeilDiv(a.cols(), block);
-    std::vector<double> rho_a_band(static_cast<std::size_t>(num_ti));
-    for (index_t ti = 0; ti < num_ti; ++ti) {
-      const index_t r0 = a.row_bounds()[ti];
-      const index_t m = a.row_bounds()[ti + 1] - r0;
-      rho_a_band[static_cast<std::size_t>(ti)] = a.density_map().RegionDensity(
-          r0 / block, 0, CeilDiv(m, block), k_blocks);
-    }
-    std::vector<double> rho_b_band(static_cast<std::size_t>(num_tj));
-    for (index_t tj = 0; tj < num_tj; ++tj) {
-      const index_t c0 = b.col_bounds()[tj];
-      const index_t n = b.col_bounds()[tj + 1] - c0;
-      rho_b_band[static_cast<std::size_t>(tj)] = b.density_map().RegionDensity(
-          0, c0 / block, k_blocks, CeilDiv(n, block));
-    }
-    auto task_cost = std::make_shared<std::vector<double>>(
-        static_cast<std::size_t>(num_tasks));
-    for (index_t task = 0; task < num_tasks; ++task) {
-      const index_t ti = task / num_tj;
-      const index_t tj = task % num_tj;
-      MultiplyShape shape;
-      shape.m = a.row_bounds()[ti + 1] - a.row_bounds()[ti];
-      shape.k = a.cols();
-      shape.n = b.col_bounds()[tj + 1] - b.col_bounds()[tj];
-      shape.rho_a = rho_a_band[static_cast<std::size_t>(ti)];
-      shape.rho_b = rho_b_band[static_cast<std::size_t>(tj)];
-      if (use_estimate) {
-        shape.rho_c = estimate.RegionDensity(
-            a.row_bounds()[ti] / block, b.col_bounds()[tj] / block,
-            CeilDiv(shape.m, block), CeilDiv(shape.n, block));
-      }
-      (*task_cost)[static_cast<std::size_t>(task)] =
-          EstimateTaskCost(cost_model_, shape);
-    }
-    sched_options.cost_of = [task_cost](index_t task) {
-      return (*task_cost)[static_cast<std::size_t>(task)];
-    };
-  }
-  ScheduleStats sched_stats;
-  scheduler.RunTasks(
-      num_tasks,
-      [&](index_t task) {
-        // Tasks follow their A tile-row's round-robin home (III-F); with
-        // work stealing this is the *initial* queue, and run_task accounts
-        // locality against the team that actually executes (its
-        // WorkerTeam::team_id), so stolen tasks honestly show up as remote
-        // reads of their A tiles.
-        return static_cast<int>((task / num_tj) % teams);
-      },
-      run_task, sched_options, &sched_stats);
-  stats->tasks_stolen = static_cast<index_t>(sched_stats.TotalSteals());
-  stats->team_busy_seconds = sched_stats.busy_seconds;
-  stats->team_cpu_seconds = sched_stats.cpu_seconds;
-
-  stats->sparse_to_dense_conversions =
-      a_cache->sparse_to_dense_count() +
-      (b_cache == a_cache ? 0 : b_cache->sparse_to_dense_count()) -
-      s2d_before;
-  stats->dense_to_sparse_conversions =
-      a_cache->dense_to_sparse_count() +
-      (b_cache == a_cache ? 0 : b_cache->dense_to_sparse_count()) -
-      d2s_before;
-  for (const Tile& t : c_tiles) {
-    if (t.is_dense()) {
-      stats->dense_result_tiles++;
-    } else {
-      stats->sparse_result_tiles++;
-    }
-  }
-
-  for (index_t bi = 0; bi < c_map.grid_rows(); ++bi) {
-    for (index_t bj = 0; bj < grid_cols; ++bj) {
-      const double area = static_cast<double>(c_map.BlockArea(bi, bj));
-      c_map.Set(bi, bj,
-                area > 0 ? block_counts[bi * grid_cols + bj] / area : 0.0);
-    }
-  }
-  ATMatrix result(a.rows(), b.cols(), block, std::move(c_tiles),
-                  std::move(c_map));
+  ChainExecStats run;
+  ATMatrix result = RunProductGraph({node}, op, /*budget_bytes=*/0, &run);
+  *stats = run.total;
+  stats->estimate_seconds = estimate_seconds;
   stats->total_seconds = total_timer.ElapsedSeconds();
 
 #if defined(ATMX_OBS_ENABLED)
-  {
-    auto& registry = obs::MetricsRegistry::Global();
-    ATMX_COUNTER_INC("atmult.operations");
-    ATMX_COUNTER_ADD("atmult.pairs", stats->pair_multiplications);
-    ATMX_COUNTER_ADD("atmult.result_tiles.dense", stats->dense_result_tiles);
-    ATMX_COUNTER_ADD("atmult.result_tiles.sparse",
-                     stats->sparse_result_tiles);
-    ATMX_COUNTER_ADD("atmult.bytes.local_read", stats->local_read_bytes);
-    ATMX_COUNTER_ADD("atmult.bytes.remote_read", stats->remote_read_bytes);
-    ATMX_COUNTER_ADD("atmult.bytes.local_write", stats->local_write_bytes);
-    ATMX_COUNTER_ADD("atmult.bytes.remote_write", stats->remote_write_bytes);
-    ATMX_HISTOGRAM_OBSERVE("atmult.seconds.total", stats->total_seconds);
-    // Per-variant invocation counters: names are per-variant, so the
-    // function-local-static caching macro does not apply; registration
-    // cost is once per operation, not per pair.
-    for (int v = 0; v < kNumKernelTypes; ++v) {
-      if (stats->kernel_invocations[v] > 0) {
-        registry.GetCounter(KernelMetricName(static_cast<KernelType>(v)))
-            .Add(static_cast<std::uint64_t>(stats->kernel_invocations[v]));
-      }
-    }
-    // Estimator telemetry: predicted vs. actual per-block density error,
-    // joined into the prediction audit ledger when one is armed.
-    const DensityMap& actual = result.density_map();
-    if (use_estimate && estimate.grid_rows() == actual.grid_rows() &&
-        estimate.grid_cols() == actual.grid_cols()) {
-      for (index_t bi = 0; bi < actual.grid_rows(); ++bi) {
-        for (index_t bj = 0; bj < actual.grid_cols(); ++bj) {
-          const double err =
-              std::abs(estimate.At(bi, bj) - actual.At(bi, bj));
-          ATMX_HISTOGRAM_OBSERVE_WITH("atmult.estimator.abs_error", err,
-                                      0.001, 0.005, 0.01, 0.05, 0.1, 0.25,
-                                      0.5, 1.0);
-          if (ledger_enabled) {
-            obs::DensityAuditRecord r;
-            r.op = op_id;
-            r.bi = bi;
-            r.bj = bj;
-            r.predicted = estimate.At(bi, bj);
-            r.actual = actual.At(bi, bj);
-            obs::AuditLedger::Global().RecordDensity(r);
-          }
-        }
-      }
-      ATMX_GAUGE_SET("atmult.estimator.predicted_nnz",
-                     estimate.ExpectedNnz());
-      ATMX_GAUGE_SET("atmult.estimator.actual_nnz", actual.ExpectedNnz());
-    }
-    if (ledger_enabled && use_estimate) {
-      // Water-level outcome: projection vs the materialized result and
-      // the tracker high water while this operation ran.
-      obs::WaterLevelAuditRecord w;
-      w.op = op_id;
-      w.rho_w = rho_w;
-      w.projected_bytes = projected_bytes;
-      w.result_bytes = result.MemoryBytes();
-      w.high_water_bytes = obs::MemTracker::Global().high_water_bytes();
-      w.feasible = wl_feasible;
-      obs::AuditLedger::Global().RecordWaterLevel(w);
-    }
-    // Placement balance across the worker teams (first-touch home nodes of
-    // the result tiles). Dynamic names => direct registry calls.
-    std::vector<index_t> node_tiles(static_cast<std::size_t>(teams), 0);
-    for (const Tile& t : result.tiles()) {
-      const int node = t.home_node();
-      if (node >= 0 && node < teams) {
-        ++node_tiles[static_cast<std::size_t>(node)];
-      }
-    }
-    index_t min_tiles = std::numeric_limits<index_t>::max();
-    index_t max_tiles = 0;
-    for (int node = 0; node < teams; ++node) {
-      const index_t count = node_tiles[static_cast<std::size_t>(node)];
-      registry
-          .GetGauge("atmult.placement.node." + std::to_string(node) +
-                    ".result_tiles")
-          .Set(static_cast<double>(count));
-      min_tiles = std::min(min_tiles, count);
-      max_tiles = std::max(max_tiles, count);
-    }
-    ATMX_GAUGE_SET("atmult.placement.balance",
-                   max_tiles > 0 ? static_cast<double>(min_tiles) /
-                                       static_cast<double>(max_tiles)
-                                 : 1.0);
-    // Memory telemetry close-out: the realized result size (compare
-    // against atmult.waterlevel.predicted_bytes), the kernel's view of the
-    // process, and the release of this operation's tracked footprint (the
-    // high-water mark keeps the peak).
-    ATMX_GAUGE_SET("atmult.result_bytes",
-                   static_cast<double>(result.MemoryBytes()));
-    obs::MemTracker::Global().RecordFree(
-        op_tracked_bytes.load(std::memory_order_relaxed));
-    obs::MemTracker::SampleProcess();
+  ATMX_HISTOGRAM_OBSERVE("atmult.seconds.total", stats->total_seconds);
+  if (ledger_enabled && use_estimate) {
+    // Water-level outcome: projection vs the materialized result and
+    // the tracker high water while this operation ran.
+    obs::WaterLevelAuditRecord w;
+    w.op = node.op_id;
+    w.rho_w = node.rho_w;
+    w.projected_bytes = projected_bytes;
+    w.result_bytes = result.MemoryBytes();
+    w.high_water_bytes = obs::MemTracker::Global().high_water_bytes();
+    w.feasible = wl_feasible;
+    obs::AuditLedger::Global().RecordWaterLevel(w);
   }
 #endif
   return result;
 }
+
+}  // namespace internal
 
 }  // namespace atmx

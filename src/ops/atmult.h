@@ -11,6 +11,8 @@
 //   4. per matching tile pair, compute the reference windows (III-B), let
 //      the dynamic optimizer pick representations / trigger JIT conversions
 //      (III-C), and run the corresponding kernel (III-A).
+// Steps 3-4 run as a one-node product graph (ops/chain_exec.h), the same
+// pipeline a fused chain runs once per product.
 
 #ifndef ATMX_OPS_ATMULT_H_
 #define ATMX_OPS_ATMULT_H_
@@ -25,8 +27,6 @@
 #include "tile/at_matrix.h"
 
 namespace atmx {
-
-class ConversionCache;
 
 // Timing breakdown and counters of one ATMULT operation (the quantities
 // behind Figs. 8b, 9c, 9d of the paper).
@@ -107,28 +107,11 @@ class AtMult {
   const AtmConfig& config() const { return config_; }
   const CostModel& cost_model() const { return cost_model_; }
 
-  // C = A * B. Both operands must share the atomic block size.
+  // C = A * B. Both operands must share the atomic block size. Runs as a
+  // one-node product graph (ops/chain_exec.h), each operand with its own
+  // private JIT conversion cache.
   ATMatrix Multiply(const ATMatrix& a, const ATMatrix& b,
                     AtMultStats* stats = nullptr) const;
-
-  // Same, with caller-owned JIT conversion caches (one per operand
-  // matrix, both addressed in the ConversionCache::kLeft key space; pass
-  // the same cache twice when a == b). The chain executor uses this so a
-  // matrix appearing in several products converts each tile at most once
-  // per chain instead of once per product. Null pointers fall back to the
-  // private per-operation cache.
-  ATMatrix Multiply(const ATMatrix& a, const ATMatrix& b, AtMultStats* stats,
-                    ConversionCache* a_cache, ConversionCache* b_cache) const;
-
-  // Same, with a caller-imposed effective write threshold. A non-negative
-  // `rho_w_override` replaces the operator's own water-level solution —
-  // the chain executor plans thresholds chain-wide against one shared
-  // budget and imposes them on every product so the fused and
-  // product-at-a-time paths make bitwise-identical representation
-  // decisions. Negative means "decide normally".
-  ATMatrix Multiply(const ATMatrix& a, const ATMatrix& b, AtMultStats* stats,
-                    ConversionCache* a_cache, ConversionCache* b_cache,
-                    double rho_w_override) const;
 
   // C' = C + A * B — the full operator signature of section III. The
   // accumulator C must have shape a.rows() x b.cols() and the same atomic
@@ -153,10 +136,7 @@ class AtMult {
 
  private:
   ATMatrix MultiplyImpl(const ATMatrix* c_init, const ATMatrix& a,
-                        const ATMatrix& b, AtMultStats* stats,
-                        ConversionCache* a_cache = nullptr,
-                        ConversionCache* b_cache = nullptr,
-                        double rho_w_override = -1.0) const;
+                        const ATMatrix& b, AtMultStats* stats) const;
 
   AtmConfig config_;
   CostModel cost_model_;

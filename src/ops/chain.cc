@@ -181,9 +181,11 @@ struct NodeResult {
   std::unique_ptr<ATMatrix> owned;
 };
 
-// Product-at-a-time execution (post-order, left subtree first). JIT
-// conversion caches are shared per distinct source matrix so a matrix
-// appearing in several products converts each tile at most once per chain.
+// Product-at-a-time execution (post-order, left subtree first): the
+// bitwise reference of the fused graph, built as a sequence of one-node
+// product graphs. JIT conversion caches are shared per distinct source
+// matrix so a matrix appearing in several products converts each tile at
+// most once per chain.
 NodeResult ExecuteSubchain(
     const std::vector<const ATMatrix*>& chain, const ChainPlan& plan,
     const AtMult& op, int i, int j,
@@ -204,21 +206,23 @@ NodeResult ExecuteSubchain(
     if (slot == nullptr) slot = std::make_unique<ConversionCache>();
     return slot.get();
   };
+  internal::ProductNodeSpec node;
+  node.left = left.view;
+  node.left_cache = cache_for(left.view);
+  node.right = right.view;
+  node.right_cache = cache_for(right.view);
   // Post-order product id — per_product holds exactly this node's
   // completed subtree products at this point. Under an active chain
   // budget the planned threshold replaces the operator's own water
   // level, mirroring the fused executor decision for decision.
   const std::size_t product_index = stats->per_product.size();
-  const double rho_override =
-      budget.active && product_index < budget.rho_w.size()
-          ? budget.rho_w[product_index]
-          : -1.0;
+  if (budget.active && product_index < budget.rho_w.size()) {
+    node.rho_w = budget.rho_w[product_index];
+  }
   AtMultStats product_stats;
   NodeResult result;
   result.owned = std::make_unique<ATMatrix>(
-      op.Multiply(*left.view, *right.view, &product_stats,
-                  cache_for(left.view), cache_for(right.view),
-                  rho_override));
+      internal::MultiplyNode(op, node, &product_stats));
   result.view = result.owned.get();
   // Intermediate operands are dead now; drop their conversions with them.
   if (left.owned != nullptr) caches->erase(left.view);
@@ -347,18 +351,6 @@ ATMatrix ExecuteChain(const std::vector<const ATMatrix*>& chain,
 #else
   (void)total_seconds;
 #endif
-  return result;
-}
-
-ATMatrix ExecuteChain(const std::vector<const ATMatrix*>& chain,
-                      const ChainPlan& plan, const AtMult& op,
-                      AtMultStats* stats_accum) {
-  ChainExecStats stats;
-  ATMatrix result = ExecuteChain(chain, plan, op, &stats);
-  if (stats_accum != nullptr) {
-    // Historical contract: *accumulates* into the caller's struct.
-    internal::AccumulateProductStats(stats.total, stats_accum);
-  }
   return result;
 }
 

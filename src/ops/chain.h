@@ -123,12 +123,7 @@ struct ChainExecStats {
 // chain. `stats`, if non-null, receives the full breakdown.
 ATMatrix ExecuteChain(const std::vector<const ATMatrix*>& chain,
                       const ChainPlan& plan, const AtMult& op,
-                      ChainExecStats* stats);
-
-// Back-compat convenience: accumulates only the summed operator stats.
-ATMatrix ExecuteChain(const std::vector<const ATMatrix*>& chain,
-                      const ChainPlan& plan, const AtMult& op,
-                      AtMultStats* stats_accum = nullptr);
+                      ChainExecStats* stats = nullptr);
 
 }  // namespace atmx
 

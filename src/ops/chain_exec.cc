@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "common/timer.h"
 #include "estimate/density_estimator.h"
 #include "estimate/water_level.h"
+#include "kernels/kernel_dispatch.h"
 #include "obs/obs.h"
 #if defined(ATMX_OBS_ENABLED)
 #include "obs/audit_ledger.h"
@@ -86,16 +90,10 @@ void AccumulateProductStats(const AtMultStats& s, AtMultStats* total) {
 
 namespace {
 
-// One product of the plan tree. Nodes are created in post-order (left
-// subtree, right subtree, self), so children always have smaller ids than
-// their parent and the per-product stats vector matches the unfused
-// executor's execution order; the root is the last node.
+// Runtime state of one product node of a graph (see ProductNodeSpec).
 struct ProductNode {
-  int left_leaf = -1;   // chain index when the left operand is an input
-  int left_node = -1;   // producing node when it is an intermediate
-  int right_leaf = -1;
-  int right_node = -1;
-  int parent = -1;      // consuming node; -1 for the root
+  ProductNodeSpec spec;
+  int parent = -1;  // consuming node; -1 for the root
   bool is_left_of_parent = false;
 
   index_t num_ti = 0;       // result row bands (left operand's row bands)
@@ -108,8 +106,12 @@ struct ProductNode {
   std::vector<index_t> col_bounds;
   DensityMap map;                    // actual densities, filled per task
   std::vector<double> block_counts;  // per-atomic-block nnz counts
-  DensityMap estimate;               // estimator output, filled per task
-  DensityMap planned_map;            // planning-time estimate (LPT costs)
+  // Estimator output, filled per task when the spec brings no estimate.
+  DensityMap estimate;
+  // Planning-time result map (LPT costs, admission): the spec's, or
+  // `owned_planned` estimated from the operands' planned maps.
+  const DensityMap* planned = nullptr;
+  DensityMap owned_planned;
 
   // JIT conversions of this node's result tiles, when a consuming task
   // prefers the other representation.
@@ -125,92 +127,63 @@ struct ProductNode {
   std::vector<std::atomic<index_t>> remaining;
 };
 
-// Builds the product tree for the subchain (i..j) in post-order and
-// returns the subchain root's node id.
-int BuildNodes(const ChainPlan& plan, int i, int j,
-               std::vector<std::unique_ptr<ProductNode>>* nodes) {
-  const int k = plan.split[static_cast<std::size_t>(i)]
-                          [static_cast<std::size_t>(j)];
-  const int left = i < k ? BuildNodes(plan, i, k, nodes) : -1;
-  const int right = k + 1 < j ? BuildNodes(plan, k + 1, j, nodes) : -1;
-  auto node = std::make_unique<ProductNode>();
-  node->left_node = left;
-  node->left_leaf = i == k ? i : -1;
-  node->right_node = right;
-  node->right_leaf = k + 1 == j ? k + 1 : -1;
-  const int id = static_cast<int>(nodes->size());
-  if (left >= 0) {
-    (*nodes)[static_cast<std::size_t>(left)]->parent = id;
-    (*nodes)[static_cast<std::size_t>(left)]->is_left_of_parent = true;
-  }
-  if (right >= 0) {
-    (*nodes)[static_cast<std::size_t>(right)]->parent = id;
-    (*nodes)[static_cast<std::size_t>(right)]->is_left_of_parent = false;
-  }
-  nodes->push_back(std::move(node));
-  return id;
-}
-
 using NodeVec = std::vector<std::unique_ptr<ProductNode>>;
 
-const DensityMap& LeftActualMap(const std::vector<const ATMatrix*>& chain,
-                                const NodeVec& nodes,
+const DensityMap& LeftActualMap(const NodeVec& nodes,
                                 const ProductNode& node) {
-  return node.left_leaf >= 0
-             ? chain[static_cast<std::size_t>(node.left_leaf)]->density_map()
-             : nodes[static_cast<std::size_t>(node.left_node)]->map;
+  return node.spec.left != nullptr
+             ? node.spec.left->density_map()
+             : nodes[static_cast<std::size_t>(node.spec.left_node)]->map;
 }
 
-const DensityMap& RightActualMap(const std::vector<const ATMatrix*>& chain,
-                                 const NodeVec& nodes,
+const DensityMap& RightActualMap(const NodeVec& nodes,
                                  const ProductNode& node) {
-  return node.right_leaf >= 0
-             ? chain[static_cast<std::size_t>(node.right_leaf)]->density_map()
-             : nodes[static_cast<std::size_t>(node.right_node)]->map;
+  return node.spec.right != nullptr
+             ? node.spec.right->density_map()
+             : nodes[static_cast<std::size_t>(node.spec.right_node)]->map;
 }
 
-const DensityMap& LeftPlannedMap(const std::vector<const ATMatrix*>& chain,
-                                 const NodeVec& nodes,
+const DensityMap& LeftPlannedMap(const NodeVec& nodes,
                                  const ProductNode& node) {
-  return node.left_leaf >= 0
-             ? chain[static_cast<std::size_t>(node.left_leaf)]->density_map()
-             : nodes[static_cast<std::size_t>(node.left_node)]->planned_map;
+  return node.spec.left != nullptr
+             ? node.spec.left->density_map()
+             : *nodes[static_cast<std::size_t>(node.spec.left_node)]->planned;
 }
 
-const DensityMap& RightPlannedMap(const std::vector<const ATMatrix*>& chain,
-                                  const NodeVec& nodes,
+const DensityMap& RightPlannedMap(const NodeVec& nodes,
                                   const ProductNode& node) {
-  return node.right_leaf >= 0
-             ? chain[static_cast<std::size_t>(node.right_leaf)]->density_map()
-             : nodes[static_cast<std::size_t>(node.right_node)]->planned_map;
+  return node.spec.right != nullptr
+             ? node.spec.right->density_map()
+             : *nodes[static_cast<std::size_t>(node.spec.right_node)]
+                    ->planned;
 }
 
-// Post-order walk of the plan tree for the subchain (i..j): estimates
-// every product's topology bottom-up (leaves use the inputs' actual maps)
-// and records each product's consuming parent. Returns the subchain
-// root's product id; ids match BuildNodes' post-order.
-int WalkPlannedProducts(const std::vector<const ATMatrix*>& chain,
-                        const ChainPlan& plan, int i, int j,
-                        std::vector<DensityMap>* maps,
-                        std::vector<int>* parents) {
+// Appends the products of the subchain (i..j) to `nodes` in post-order
+// (left subtree, right subtree, self) — the per-product order of the
+// product-at-a-time executor — and returns the subchain root's node id,
+// or -1 for a single matrix. `tasks` accumulates the tile-task count.
+int BuildNodes(const std::vector<const ATMatrix*>& chain,
+               const ChainPlan& plan, int i, int j,
+               const std::function<ConversionCache*(const ATMatrix*)>& cache,
+               std::vector<ProductNodeSpec>* nodes, index_t* tasks) {
+  if (i == j) return -1;
   const int k = plan.split[static_cast<std::size_t>(i)]
                           [static_cast<std::size_t>(j)];
-  const int left =
-      i < k ? WalkPlannedProducts(chain, plan, i, k, maps, parents) : -1;
-  const int right =
-      k + 1 < j ? WalkPlannedProducts(chain, plan, k + 1, j, maps, parents)
-                : -1;
-  DensityMap product = EstimateProductDensity(
-      left >= 0 ? (*maps)[static_cast<std::size_t>(left)]
-                : chain[static_cast<std::size_t>(i)]->density_map(),
-      right >= 0 ? (*maps)[static_cast<std::size_t>(right)]
-                 : chain[static_cast<std::size_t>(k) + 1]->density_map());
-  const int id = static_cast<int>(maps->size());
-  maps->push_back(std::move(product));
-  parents->push_back(-1);
-  if (left >= 0) (*parents)[static_cast<std::size_t>(left)] = id;
-  if (right >= 0) (*parents)[static_cast<std::size_t>(right)] = id;
-  return id;
+  ProductNodeSpec node;
+  node.left_node = BuildNodes(chain, plan, i, k, cache, nodes, tasks);
+  node.right_node = BuildNodes(chain, plan, k + 1, j, cache, nodes, tasks);
+  if (node.left_node < 0) {
+    node.left = chain[static_cast<std::size_t>(i)];
+    node.left_cache = cache(node.left);
+  }
+  if (node.right_node < 0) {
+    node.right = chain[static_cast<std::size_t>(j)];
+    node.right_cache = cache(node.right);
+  }
+  *tasks += chain[static_cast<std::size_t>(i)]->num_row_bands() *
+            chain[static_cast<std::size_t>(j)]->num_col_bands();
+  nodes->push_back(node);
+  return static_cast<int>(nodes->size()) - 1;
 }
 
 }  // namespace
@@ -221,12 +194,34 @@ ChainBudgetPlan PlanChainBudget(const std::vector<const ATMatrix*>& chain,
   const AtmConfig& config = op.config();
   const int n = static_cast<int>(chain.size());
   if (n < 2) return budget;
-  std::vector<int> parents;
-  WalkPlannedProducts(chain, plan, 0, n - 1, &budget.planned_maps, &parents);
+  // Every product's topology, estimated bottom-up along the plan tree
+  // (leaves use the inputs' actual maps), and its consuming parent.
+  std::vector<ProductNodeSpec> nodes;
+  index_t tasks = 0;
+  BuildNodes(
+      chain, plan, 0, n - 1, [](const ATMatrix*) { return nullptr; }, &nodes,
+      &tasks);
+  std::vector<int> parents(nodes.size(), -1);
+  budget.planned_maps.reserve(nodes.size());
+  for (std::size_t id = 0; id < nodes.size(); ++id) {
+    const ProductNodeSpec& node = nodes[id];
+    budget.planned_maps.push_back(EstimateProductDensity(
+        node.left != nullptr
+            ? node.left->density_map()
+            : budget.planned_maps[static_cast<std::size_t>(node.left_node)],
+        node.right != nullptr
+            ? node.right->density_map()
+            : budget.planned_maps[static_cast<std::size_t>(node.right_node)]));
+    for (const int child : {node.left_node, node.right_node}) {
+      if (child >= 0) {
+        parents[static_cast<std::size_t>(child)] = static_cast<int>(id);
+      }
+    }
+  }
   budget.rho_w.assign(budget.planned_maps.size(), config.rho_write);
   // Chain-scope budgeting needs a finite limit, the estimator for the
   // planned topologies, and at least two products — a single product is
-  // exactly the operator's own per-product water level, which MultiplyImpl
+  // exactly the operator's own per-product water level, which MultiplyNode
   // already runs.
   if (config.result_mem_limit_bytes ==
           std::numeric_limits<std::size_t>::max() ||
@@ -246,109 +241,117 @@ ChainBudgetPlan PlanChainBudget(const std::vector<const ATMatrix*>& chain,
   return budget;
 }
 
-ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
-                           const ChainPlan& plan, const AtMult& op,
-                           const ChainBudgetPlan& budget,
-                           ChainExecStats* stats) {
+ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
+                         const AtMult& op, std::uint64_t budget_bytes,
+                         ChainExecStats* stats) {
   ATMX_CHECK(stats != nullptr);
+  ATMX_CHECK(!specs.empty());
+  ATMX_CHECK(specs.front().left != nullptr);
   const AtmConfig& config = op.config();
-  const index_t block = chain[0]->b_atomic();
-  const int n = static_cast<int>(chain.size());
-
-  NodeVec nodes;
-  nodes.reserve(static_cast<std::size_t>(n) - 1);
-  const int root_id = BuildNodes(plan, 0, n - 1, &nodes);
-  ATMX_CHECK_EQ(root_id, static_cast<int>(nodes.size()) - 1);
-  ATMX_CHECK(!budget.active || budget.rho_w.size() == nodes.size());
+  const index_t block = specs.front().left->b_atomic();
+  // More than one product: a fused chain, traced and counted as such.
+  const bool fused = specs.size() > 1;
 
 #if defined(ATMX_OBS_ENABLED)
   const bool audit_enabled = obs::DecisionLog::Global().enabled();
   const bool ledger_enabled = obs::AuditLedger::Global().enabled();
   if (ledger_enabled) {
+    // The counterfactual replay re-runs DecidePairRepresentations with
+    // the parameters this graph actually decided with.
     obs::AuditLedger::Global().SetCostParams(op.cost_model().params());
   }
 #endif
   Mutex stats_mutex;
   ResidentTileSet resident;
-  if (budget.active) resident.set_budget_bytes(budget.budget_bytes);
+  if (budget_bytes > 0) resident.set_budget_bytes(budget_bytes);
 
-  // Shared JIT conversion caches, one per distinct input matrix, addressed
-  // with the kLeft key space on both operand sides — a matrix appearing in
-  // several products (or twice in one) converts each tile at most once per
-  // chain. Intermediates get their producing node's result_cache.
-  std::map<const ATMatrix*, std::unique_ptr<ConversionCache>> leaf_caches;
-  auto leaf_cache = [&](int leaf) {
-    auto& slot = leaf_caches[chain[static_cast<std::size_t>(leaf)]];
-    if (slot == nullptr) slot = std::make_unique<ConversionCache>();
-    return slot.get();
-  };
+  NodeVec nodes;
+  nodes.reserve(specs.size());
+  for (const ProductNodeSpec& spec : specs) {
+    auto node = std::make_unique<ProductNode>();
+    node->spec = spec;
+    nodes.push_back(std::move(node));
+  }
+  for (std::size_t id = 0; id < nodes.size(); ++id) {
+    const ProductNodeSpec& spec = nodes[id]->spec;
+    for (const int child : {spec.left_node, spec.right_node}) {
+      if (child < 0) continue;
+      ATMX_CHECK_LT(static_cast<std::size_t>(child), id);  // post-order
+      nodes[static_cast<std::size_t>(child)]->parent = static_cast<int>(id);
+      nodes[static_cast<std::size_t>(child)]->is_left_of_parent =
+          child == spec.left_node;
+    }
+  }
+
+  // JIT conversion counts are graph-wide deltas over every distinct cache
+  // (leaf caches may be shared across nodes, and across graphs when the
+  // product-at-a-time executor threads a chain's caches through them).
+  std::map<ConversionCache*, std::pair<index_t, index_t>> leaf_caches;
 
   // --- Per-node setup (children before parents: post-order ids). --------
   index_t total_tasks = 0;
   for (std::size_t id = 0; id < nodes.size(); ++id) {
     ProductNode& node = *nodes[id];
-    node.row_bounds =
-        node.left_leaf >= 0
-            ? chain[static_cast<std::size_t>(node.left_leaf)]->row_bounds()
-            : nodes[static_cast<std::size_t>(node.left_node)]->row_bounds;
-    node.col_bounds =
-        node.right_leaf >= 0
-            ? chain[static_cast<std::size_t>(node.right_leaf)]->col_bounds()
-            : nodes[static_cast<std::size_t>(node.right_node)]->col_bounds;
-    node.num_ti = static_cast<index_t>(node.row_bounds.size()) - 1;
-    node.num_tj = static_cast<index_t>(node.col_bounds.size()) - 1;
+    const ProductNodeSpec& spec = node.spec;
+    ProductContext& ctx = node.ctx;
+    if (spec.left != nullptr) {
+      ATMX_CHECK_EQ(spec.left->b_atomic(), block);
+      ctx.a = OperandView::FromMatrix(*spec.left);
+      ctx.a_cache = spec.left_cache;
+    } else {
+      ProductNode& l = *nodes[static_cast<std::size_t>(spec.left_node)];
+      ctx.a = OperandView::FromGrid(&l.tiles, &l.row_bounds, &l.col_bounds,
+                                    &l.map);
+      ctx.a_cache = l.result_cache.get();
+    }
+    if (spec.right != nullptr) {
+      ATMX_CHECK_EQ(spec.right->b_atomic(), block);
+      ctx.b = OperandView::FromMatrix(*spec.right);
+      ctx.b_cache = spec.right_cache;
+    } else {
+      ProductNode& r = *nodes[static_cast<std::size_t>(spec.right_node)];
+      ctx.b = OperandView::FromGrid(&r.tiles, &r.row_bounds, &r.col_bounds,
+                                    &r.map);
+      ctx.b_cache = r.result_cache.get();
+    }
+    ATMX_CHECK_EQ(ctx.a.cols(), ctx.b.rows());
+    ATMX_CHECK(ctx.a_cache != nullptr && ctx.b_cache != nullptr);
+    for (ConversionCache* cache : {spec.left_cache, spec.right_cache}) {
+      if (cache != nullptr && leaf_caches.count(cache) == 0) {
+        leaf_caches[cache] = {cache->sparse_to_dense_count(),
+                              cache->dense_to_sparse_count()};
+      }
+    }
+    node.row_bounds = ctx.a.row_bounds();
+    node.col_bounds = ctx.b.col_bounds();
+    node.num_ti = ctx.a.num_row_bands();
+    node.num_tj = ctx.b.num_col_bands();
     node.task_offset = total_tasks;
     total_tasks += node.num_ti * node.num_tj;
 
-    const index_t rows = node.row_bounds.back();
-    const index_t cols = node.col_bounds.back();
+    const index_t rows = ctx.a.rows();
+    const index_t cols = ctx.b.cols();
     node.tiles.resize(static_cast<std::size_t>(node.num_ti * node.num_tj));
     node.map = DensityMap(rows, cols, block);
     node.block_counts.assign(static_cast<std::size_t>(node.map.grid_rows()) *
                                  static_cast<std::size_t>(node.map.grid_cols()),
                              0.0);
-    if (config.density_estimation) {
-      node.estimate = DensityMap(rows, cols, block);
-    }
     node.result_cache = std::make_unique<ConversionCache>();
 
-    ProductContext& ctx = node.ctx;
-    if (node.left_leaf >= 0) {
-      ctx.a = OperandView::FromMatrix(
-          *chain[static_cast<std::size_t>(node.left_leaf)]);
-      ctx.a_cache = leaf_cache(node.left_leaf);
-    } else {
-      ProductNode& l = *nodes[static_cast<std::size_t>(node.left_node)];
-      ctx.a = OperandView::FromGrid(&l.tiles, &l.row_bounds, &l.col_bounds,
-                                    &l.map);
-      ctx.a_cache = l.result_cache.get();
-    }
-    if (node.right_leaf >= 0) {
-      ctx.b = OperandView::FromMatrix(
-          *chain[static_cast<std::size_t>(node.right_leaf)]);
-      ctx.b_cache = leaf_cache(node.right_leaf);
-    } else {
-      ProductNode& r = *nodes[static_cast<std::size_t>(node.right_node)];
-      ctx.b = OperandView::FromGrid(&r.tiles, &r.row_bounds, &r.col_bounds,
-                                    &r.map);
-      ctx.b_cache = r.result_cache.get();
-    }
     ctx.block = block;
     ctx.use_estimate = config.density_estimation;
-    ctx.estimate = &node.estimate;
-    // Unbounded budget: the performance-optimal threshold, exactly as the
-    // unfused path's EffectiveWriteThreshold fast path. Finite budget: the
-    // chain-scope water level's per-product threshold, which the unfused
-    // path imposes identically (rho_w_override) — same representation
-    // decisions, bitwise-identical results.
-    ctx.rho_w = budget.active ? budget.rho_w[id] : config.rho_write;
-    if (id < budget.planned_maps.size()) {
-      node.planned_map = budget.planned_maps[id];
+    if (spec.estimate != nullptr) {
+      ctx.estimate = spec.estimate;
+    } else {
+      ATMX_CHECK(spec.c_init == nullptr || !ctx.use_estimate);
+      if (ctx.use_estimate) node.estimate = DensityMap(rows, cols, block);
+      ctx.estimate = &node.estimate;
     }
+    ATMX_CHECK_GE(spec.rho_w, 0.0);
+    ctx.rho_w = spec.rho_w;
     ctx.dynamic_conversion = config.dynamic_conversion;
     ctx.cost_model = &op.cost_model();
-    ctx.a_cache_side = ConversionCache::kLeft;
-    ctx.b_cache_side = ConversionCache::kLeft;
+    ctx.c_init = spec.c_init;
     ctx.c_tiles = &node.tiles;
     ctx.block_counts = &node.block_counts;
     ctx.grid_cols = node.map.grid_cols();
@@ -358,14 +361,28 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
 #if defined(ATMX_OBS_ENABLED)
     ctx.audit_enabled = audit_enabled;
     ctx.ledger_enabled = ledger_enabled;
-    ctx.op_id = (audit_enabled || ledger_enabled)
-                    ? obs::DecisionLog::Global().NextOpId()
-                    : 0;
+    ctx.op_id = spec.op_id != 0 || !(audit_enabled || ledger_enabled)
+                    ? spec.op_id
+                    : obs::DecisionLog::Global().NextOpId();
 #endif
+
+    // Planning-time result map: LPT costs and admission price tasks with
+    // it, and a consumer prices its operand bands with it before this
+    // node's actual map exists (order is a performance hint only —
+    // results are unaffected).
+    node.planned = spec.planned_map != nullptr ? spec.planned_map
+                                               : spec.estimate;
+    if (node.planned == nullptr &&
+        (config.work_stealing || budget_bytes > 0) &&
+        (ctx.use_estimate || node.parent >= 0)) {
+      node.owned_planned = EstimateProductDensity(LeftPlannedMap(nodes, node),
+                                                  RightPlannedMap(nodes, node));
+      node.planned = &node.owned_planned;
+    }
   }
   // Retire countdowns: sized by the operand band the parent consumes;
   // parents have larger ids, so their band counts exist only after the
-  // first pass.
+  // setup pass.
   for (auto& node_ptr : nodes) {
     ProductNode& node = *node_ptr;
     if (node.parent < 0) continue;
@@ -389,11 +406,11 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
   for (auto& node_ptr : nodes) {
     ProductNode& node = *node_ptr;
     const index_t deps =
-        (node.left_node >= 0
-             ? nodes[static_cast<std::size_t>(node.left_node)]->num_tj
+        (node.spec.left_node >= 0
+             ? nodes[static_cast<std::size_t>(node.spec.left_node)]->num_tj
              : 0) +
-        (node.right_node >= 0
-             ? nodes[static_cast<std::size_t>(node.right_node)]->num_ti
+        (node.spec.right_node >= 0
+             ? nodes[static_cast<std::size_t>(node.spec.right_node)]->num_ti
              : 0);
     for (index_t t = 0; t < node.num_ti * node.num_tj; ++t) {
       dep_count[static_cast<std::size_t>(node.task_offset + t)] = deps;
@@ -431,11 +448,11 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
            1;
   };
 
-  // --- LPT queue ordering from planning-time estimates. -----------------
-  // The unfused path prices tasks against the operands' actual density
-  // maps; here intermediates have no actual map until they materialize, so
-  // queue order uses the estimator's planned maps instead (order is a
-  // performance hint only — results are unaffected).
+  // --- LPT queue ordering. ------------------------------------------------
+  // Per-task FLOP/byte cost estimates, O(1) per task from per-band
+  // aggregate densities of the operands' planned maps (actual maps for
+  // finished matrices; the per-pair refinement happens later inside the
+  // task, queue order only needs magnitudes).
   ScheduleOptions sched_options;
   sched_options.work_stealing = config.work_stealing;
   if (config.work_stealing && total_tasks > 0) {
@@ -443,11 +460,8 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
         static_cast<std::size_t>(total_tasks));
     for (auto& node_ptr : nodes) {
       ProductNode& node = *node_ptr;
-      const DensityMap& amap = LeftPlannedMap(chain, nodes, node);
-      const DensityMap& bmap = RightPlannedMap(chain, nodes, node);
-      if (node.planned_map.rows() == 0) {  // not seeded by the budget plan
-        node.planned_map = EstimateProductDensity(amap, bmap);
-      }
+      const DensityMap& amap = LeftPlannedMap(nodes, node);
+      const DensityMap& bmap = RightPlannedMap(nodes, node);
       const index_t k = amap.cols();
       const index_t k_blocks = CeilDiv(k, block);
       std::vector<double> rho_a_band(static_cast<std::size_t>(node.num_ti));
@@ -476,8 +490,8 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
                     node.col_bounds[static_cast<std::size_t>(tj)];
           shape.rho_a = rho_a_band[static_cast<std::size_t>(ti)];
           shape.rho_b = rho_b_band[static_cast<std::size_t>(tj)];
-          if (config.density_estimation) {
-            shape.rho_c = node.planned_map.RegionDensity(
+          if (node.ctx.use_estimate) {
+            shape.rho_c = node.planned->RegionDensity(
                 node.row_bounds[static_cast<std::size_t>(ti)] / block,
                 node.col_bounds[static_cast<std::size_t>(tj)] / block,
                 CeilDiv(shape.m, block), CeilDiv(shape.n, block));
@@ -493,7 +507,7 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
     };
   }
 
-  // --- Admission control against the chain budget. ----------------------
+  // --- Admission control against the budget. ----------------------------
   // Each task's projected output bytes at its product's planned threshold
   // (the same 8 B/elem dense, 16 B/elem sparse pricing the water level
   // used). A ready task reserves its projection before launching; the
@@ -503,11 +517,12 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
   // forward progress by force-admitting the oldest parked task when
   // nothing is in flight.
   std::vector<std::uint64_t> task_bytes;
-  if (budget.active) {
+  if (budget_bytes > 0) {
     task_bytes.assign(static_cast<std::size_t>(total_tasks), 0);
     for (auto& node_ptr : nodes) {
       ProductNode& node = *node_ptr;
-      const DensityMap& pm = node.planned_map;
+      ATMX_CHECK(node.planned != nullptr);
+      const DensityMap& pm = *node.planned;
       for (index_t ti = 0; ti < node.num_ti; ++ti) {
         const index_t bi0 =
             node.row_bounds[static_cast<std::size_t>(ti)] / block;
@@ -554,35 +569,27 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
   // --- Run the DAG. -----------------------------------------------------
   const int teams = config.EffectiveTeams();
   TeamScheduler scheduler(teams, config.EffectiveThreadsPerTeam());
-  ATMX_TRACE_SPAN_ARGS("chain", "fused_exec",
-                       {"products", static_cast<index_t>(nodes.size())},
-                       {"tasks", total_tasks});
 
   auto run_task = [&](WorkerTeam& team, index_t task) {
-    const int node_id = node_of(task);
-    ProductNode& node = *nodes[static_cast<std::size_t>(node_id)];
+    ProductNode& node = *nodes[static_cast<std::size_t>(node_of(task))];
     const index_t local = task - node.task_offset;
     const index_t ti = local / node.num_tj;
     const index_t tj = local % node.num_tj;
-    ATMX_TRACE_SPAN_ARGS("chain", "fused_tile", {"product", node_id},
-                         {"ti", ti}, {"tj", tj});
-    ATMX_COUNTER_INC("atmult.fused.tiles");
-
     const index_t bi0 = node.row_bounds[static_cast<std::size_t>(ti)] / block;
     const index_t bi1 =
         CeilDiv(node.row_bounds[static_cast<std::size_t>(ti) + 1], block);
     const index_t bj0 = node.col_bounds[static_cast<std::size_t>(tj)] / block;
     const index_t bj1 =
         CeilDiv(node.col_bounds[static_cast<std::size_t>(tj) + 1], block);
-    if (node.ctx.use_estimate) {
+    if (node.ctx.use_estimate && node.spec.estimate == nullptr) {
       // Region-by-region estimate from the operands' *actual* maps —
-      // bitwise identical to the full pre-pass the unfused path runs,
-      // because the dependency edges guarantee the operand bands this
-      // region reads are final.
+      // bitwise identical to the full up-front estimate, because the
+      // dependency edges guarantee the operand bands this region reads
+      // are final.
       WallTimer est_timer;
-      EstimateProductDensityRegion(LeftActualMap(chain, nodes, node),
-                                   RightActualMap(chain, nodes, node), bi0,
-                                   bi1, bj0, bj1, &node.estimate);
+      EstimateProductDensityRegion(LeftActualMap(nodes, node),
+                                   RightActualMap(nodes, node), bi0, bi1, bj0,
+                                   bj1, &node.estimate);
       const double est_seconds = est_timer.ElapsedSeconds();
       MutexLock lock(stats_mutex);
       node.stats.estimate_seconds += est_seconds;
@@ -590,9 +597,9 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
 
     RunProductTileTask(node.ctx, team, local);
 
-    // Actual result densities for downstream estimates — the same
-    // counts/area division as MultiplyImpl's closing loop (tasks write
-    // disjoint grid regions).
+    // Actual result densities of the task's region, for downstream
+    // estimates and the result's density map (tasks write disjoint grid
+    // regions).
     for (index_t bi = bi0; bi < bi1; ++bi) {
       for (index_t bj = bj0; bj < bj1; ++bj) {
         const double area = static_cast<double>(node.map.BlockArea(bi, bj));
@@ -603,25 +610,15 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
                               : 0.0);
       }
     }
-
-    const Tile& produced = node.tiles[static_cast<std::size_t>(local)];
-    {
-      MutexLock lock(stats_mutex);
-      if (produced.is_dense()) {
-        node.stats.dense_result_tiles++;
-      } else {
-        node.stats.sparse_result_tiles++;
-      }
-    }
-    // Root tiles charge too: the budget (and the resident peak) covers the
-    // whole footprint the fused chain holds, result included — the root's
+    // Root tiles charge too: the resident peak (and any budget) covers the
+    // whole footprint the graph holds, result included — the root's
     // charge is released at the end when ownership passes to the caller.
-    resident.Charge(produced.MemoryBytes());
+    resident.Charge(node.tiles[static_cast<std::size_t>(local)].MemoryBytes());
 
     // Retire operand bands whose last consumer this task was. acq_rel on
     // the countdown orders every consumer's reads before the release.
-    if (node.left_node >= 0) {
-      ProductNode& l = *nodes[static_cast<std::size_t>(node.left_node)];
+    if (node.spec.left_node >= 0) {
+      ProductNode& l = *nodes[static_cast<std::size_t>(node.spec.left_node)];
       if (l.remaining[static_cast<std::size_t>(ti)].fetch_sub(
               1, std::memory_order_acq_rel) == 1) {
         std::vector<index_t> band(static_cast<std::size_t>(l.num_tj));
@@ -631,8 +628,8 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
         resident.Retire(&l.tiles, band);
       }
     }
-    if (node.right_node >= 0) {
-      ProductNode& r = *nodes[static_cast<std::size_t>(node.right_node)];
+    if (node.spec.right_node >= 0) {
+      ProductNode& r = *nodes[static_cast<std::size_t>(node.spec.right_node)];
       if (r.remaining[static_cast<std::size_t>(tj)].fetch_sub(
               1, std::memory_order_acq_rel) == 1) {
         std::vector<index_t> band(static_cast<std::size_t>(r.num_ti));
@@ -642,30 +639,49 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
         resident.Retire(&r.tiles, band);
       }
     }
-    if (budget.active) {
+    if (budget_bytes > 0) {
       // The projection is real charges now (or never materialized): hand
       // the reservation back so parked tasks can re-enter.
       resident.ReleaseReservation(
           task_bytes[static_cast<std::size_t>(task)]);
     }
   };
+  auto run_fused_task = [&](WorkerTeam& team, index_t task) {
+#if defined(ATMX_OBS_ENABLED)
+    const int node_id = node_of(task);
+    const ProductNode& node = *nodes[static_cast<std::size_t>(node_id)];
+    const index_t local = task - node.task_offset;
+    ATMX_TRACE_SPAN_ARGS("chain", "fused_tile", {"product", node_id},
+                         {"ti", local / node.num_tj},
+                         {"tj", local % node.num_tj});
+    ATMX_COUNTER_INC("atmult.fused.tiles");
+#endif
+    run_task(team, task);
+  };
 
   ScheduleStats sched_stats;
   scheduler.RunTaskGraph(
       total_tasks, dep_count, successors,
       [&](index_t task) {
-        // Same round-robin home as one unfused product: the task's result
-        // tile-row, within its own product.
-        const int node_id = node_of(task);
-        const ProductNode& node = *nodes[static_cast<std::size_t>(node_id)];
+        // Tasks follow their result tile-row's round-robin home within
+        // their own product (III-F); with work stealing this is the
+        // *initial* queue, and RunProductTileTask accounts locality against
+        // the team that actually executes (its WorkerTeam::team_id), so
+        // stolen tasks honestly show up as remote reads of their A tiles.
+        const ProductNode& node = *nodes[static_cast<std::size_t>(
+            node_of(task))];
         return static_cast<int>(((task - node.task_offset) / node.num_tj) %
                                 static_cast<index_t>(teams));
       },
-      run_task, sched_options, &sched_stats);
+      fused ? std::function<void(WorkerTeam&, index_t)>(run_fused_task)
+            : std::function<void(WorkerTeam&, index_t)>(run_task),
+      sched_options, &sched_stats);
 
   // --- Close out stats. -------------------------------------------------
-  stats->fused = true;
-  stats->fused_tasks = total_tasks;
+  stats->total = AtMultStats();
+  stats->per_product.clear();
+  stats->fused = fused;
+  stats->fused_tasks = fused ? total_tasks : 0;
   stats->resident_peak_bytes = resident.peak_bytes();
   stats->per_product.reserve(nodes.size());
   for (auto& node_ptr : nodes) {
@@ -674,51 +690,80 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
     AccumulateProductStats(node.stats, &stats->total);
     stats->per_product.push_back(node.stats);
   }
-  // Per-product conversion deltas are ill-defined under fusion (products
-  // interleave on shared caches); the chain totals come straight from the
-  // caches.
-  index_t s2d = 0;
-  index_t d2s = 0;
-  for (const auto& entry : leaf_caches) {
-    s2d += entry.second->sparse_to_dense_count();
-    d2s += entry.second->dense_to_sparse_count();
+  // Conversions and the scheduler outcome are graph-wide: products of a
+  // fused graph interleave on shared caches and teams.
+  AtMultStats& total = stats->total;
+  for (const auto& [cache, before] : leaf_caches) {
+    total.sparse_to_dense_conversions +=
+        cache->sparse_to_dense_count() - before.first;
+    total.dense_to_sparse_conversions +=
+        cache->dense_to_sparse_count() - before.second;
   }
   for (const auto& node_ptr : nodes) {
-    s2d += node_ptr->result_cache->sparse_to_dense_count();
-    d2s += node_ptr->result_cache->dense_to_sparse_count();
+    total.sparse_to_dense_conversions +=
+        node_ptr->result_cache->sparse_to_dense_count();
+    total.dense_to_sparse_conversions +=
+        node_ptr->result_cache->dense_to_sparse_count();
   }
-  stats->total.sparse_to_dense_conversions = s2d;
-  stats->total.dense_to_sparse_conversions = d2s;
-  stats->total.tasks_stolen = static_cast<index_t>(sched_stats.TotalSteals());
-  stats->total.team_busy_seconds = sched_stats.busy_seconds;
-  stats->total.team_cpu_seconds = sched_stats.cpu_seconds;
+  total.tasks_stolen = static_cast<index_t>(sched_stats.TotalSteals());
+  total.team_busy_seconds = sched_stats.busy_seconds;
+  total.team_cpu_seconds = sched_stats.cpu_seconds;
 
 #if defined(ATMX_OBS_ENABLED)
-  // Join per-node estimator output against the realized density maps
-  // before the root's map is moved into the result matrix.
-  if (ledger_enabled && config.density_estimation) {
-    for (const auto& node_ptr : nodes) {
-      const ProductNode& node = *node_ptr;
-      if (node.estimate.grid_rows() != node.map.grid_rows() ||
-          node.estimate.grid_cols() != node.map.grid_cols()) {
-        continue;
-      }
-      for (index_t bi = 0; bi < node.map.grid_rows(); ++bi) {
-        for (index_t bj = 0; bj < node.map.grid_cols(); ++bj) {
+  // Registry close-out: the same quantities as the stats, accumulated
+  // across operations (every product node is one ATMULT operation).
+  auto& registry = obs::MetricsRegistry::Global();
+  ATMX_COUNTER_ADD("atmult.operations", nodes.size());
+  ATMX_COUNTER_ADD("atmult.pairs", total.pair_multiplications);
+  ATMX_COUNTER_ADD("atmult.result_tiles.dense", total.dense_result_tiles);
+  ATMX_COUNTER_ADD("atmult.result_tiles.sparse", total.sparse_result_tiles);
+  ATMX_COUNTER_ADD("atmult.bytes.local_read", total.local_read_bytes);
+  ATMX_COUNTER_ADD("atmult.bytes.remote_read", total.remote_read_bytes);
+  ATMX_COUNTER_ADD("atmult.bytes.local_write", total.local_write_bytes);
+  ATMX_COUNTER_ADD("atmult.bytes.remote_write", total.remote_write_bytes);
+  // Per-variant invocation counters: names are per-variant, so the
+  // function-local-static caching macro does not apply; registration
+  // cost is once per graph, not per pair.
+  for (int v = 0; v < kNumKernelTypes; ++v) {
+    if (total.kernel_invocations[v] > 0) {
+      registry.GetCounter(KernelMetricName(static_cast<KernelType>(v)))
+          .Add(static_cast<std::uint64_t>(total.kernel_invocations[v]));
+    }
+  }
+  // Estimator telemetry: predicted vs. actual per-block density error of
+  // every product, joined into the prediction audit ledger when one is
+  // armed — before the root's map is moved into the result matrix.
+  for (const auto& node_ptr : nodes) {
+    const ProductNode& node = *node_ptr;
+    const DensityMap& estimate = *node.ctx.estimate;
+    const DensityMap& actual = node.map;
+    if (!node.ctx.use_estimate ||
+        estimate.grid_rows() != actual.grid_rows() ||
+        estimate.grid_cols() != actual.grid_cols()) {
+      continue;
+    }
+    for (index_t bi = 0; bi < actual.grid_rows(); ++bi) {
+      for (index_t bj = 0; bj < actual.grid_cols(); ++bj) {
+        const double err = std::abs(estimate.At(bi, bj) - actual.At(bi, bj));
+        ATMX_HISTOGRAM_OBSERVE_WITH("atmult.estimator.abs_error", err, 0.001,
+                                    0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0);
+        if (ledger_enabled) {
           obs::DensityAuditRecord r;
           r.op = node.ctx.op_id;
           r.bi = bi;
           r.bj = bj;
-          r.predicted = node.estimate.At(bi, bj);
-          r.actual = node.map.At(bi, bj);
+          r.predicted = estimate.At(bi, bj);
+          r.actual = actual.At(bi, bj);
           obs::AuditLedger::Global().RecordDensity(r);
         }
       }
     }
+    ATMX_GAUGE_SET("atmult.estimator.predicted_nnz", estimate.ExpectedNnz());
+    ATMX_GAUGE_SET("atmult.estimator.actual_nnz", actual.ExpectedNnz());
   }
 #endif
 
-  ProductNode& root = *nodes[static_cast<std::size_t>(root_id)];
+  ProductNode& root = *nodes.back();
   std::uint64_t root_bytes = 0;
   for (const Tile& t : root.tiles) root_bytes += t.MemoryBytes();
   ATMatrix result(root.row_bounds.back(), root.col_bounds.back(), block,
@@ -730,6 +775,81 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
   resident.ReleaseCharge(root_bytes);
 
 #if defined(ATMX_OBS_ENABLED)
+  // Placement balance across the worker teams (first-touch home nodes of
+  // the result tiles). Dynamic names => direct registry calls.
+  std::vector<index_t> node_tiles(static_cast<std::size_t>(teams), 0);
+  for (const Tile& t : result.tiles()) {
+    const int home = t.home_node();
+    if (home >= 0 && home < teams) ++node_tiles[static_cast<std::size_t>(home)];
+  }
+  index_t min_tiles = std::numeric_limits<index_t>::max();
+  index_t max_tiles = 0;
+  for (int home = 0; home < teams; ++home) {
+    const index_t count = node_tiles[static_cast<std::size_t>(home)];
+    registry
+        .GetGauge("atmult.placement.node." + std::to_string(home) +
+                  ".result_tiles")
+        .Set(static_cast<double>(count));
+    min_tiles = std::min(min_tiles, count);
+    max_tiles = std::max(max_tiles, count);
+  }
+  ATMX_GAUGE_SET("atmult.placement.balance",
+                 max_tiles > 0 ? static_cast<double>(min_tiles) /
+                                     static_cast<double>(max_tiles)
+                               : 1.0);
+  // The realized result size: compare against
+  // atmult.waterlevel.predicted_bytes.
+  ATMX_GAUGE_SET("atmult.result_bytes",
+                 static_cast<double>(result.MemoryBytes()));
+  obs::MemTracker::SampleProcess();
+#endif
+  return result;
+}
+
+ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
+                           const ChainPlan& plan, const AtMult& op,
+                           const ChainBudgetPlan& budget,
+                           ChainExecStats* stats) {
+  ATMX_CHECK(stats != nullptr);
+  const AtmConfig& config = op.config();
+  const int n = static_cast<int>(chain.size());
+
+  // Shared JIT conversion caches, one per distinct input matrix — a
+  // matrix appearing in several products (or twice in one) converts each
+  // tile at most once per chain. Intermediates use their producing node's
+  // result cache.
+  std::map<const ATMatrix*, std::unique_ptr<ConversionCache>> caches;
+  auto cache_for = [&caches](const ATMatrix* m) {
+    auto& slot = caches[m];
+    if (slot == nullptr) slot = std::make_unique<ConversionCache>();
+    return slot.get();
+  };
+  std::vector<ProductNodeSpec> nodes;
+  nodes.reserve(static_cast<std::size_t>(n) - 1);
+  index_t tasks = 0;
+  BuildNodes(chain, plan, 0, n - 1, cache_for, &nodes, &tasks);
+  ATMX_CHECK(!budget.active || budget.rho_w.size() == nodes.size());
+  for (std::size_t id = 0; id < nodes.size(); ++id) {
+    // Unbounded budget: the performance-optimal threshold, exactly as the
+    // product-at-a-time path's EffectiveWriteThreshold fast path. Finite
+    // budget: the chain-scope water level's per-product threshold, which
+    // the product-at-a-time path imposes identically — same
+    // representation decisions, bitwise-identical results.
+    nodes[id].rho_w = budget.active ? budget.rho_w[id] : config.rho_write;
+    if (id < budget.planned_maps.size()) {
+      nodes[id].planned_map = &budget.planned_maps[id];
+    }
+  }
+
+  ATMatrix result;
+  {
+    ATMX_TRACE_SPAN_ARGS("chain", "fused_exec",
+                         {"products", static_cast<index_t>(nodes.size())},
+                         {"tasks", tasks});
+    result = RunProductGraph(nodes, op, budget.active ? budget.budget_bytes : 0,
+                             stats);
+  }
+#if defined(ATMX_OBS_ENABLED)
   ATMX_COUNTER_INC("atmult.fused.chains");
   ATMX_COUNTER_ADD("atmult.fused.products",
                    static_cast<std::uint64_t>(nodes.size()));
@@ -739,7 +859,6 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
     ATMX_GAUGE_SET("atmult.fused.budget_bytes",
                    static_cast<double>(budget.budget_bytes));
   }
-  obs::MemTracker::SampleProcess();
 #endif
   return result;
 }

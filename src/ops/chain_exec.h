@@ -1,21 +1,25 @@
-// Fused chain execution (docs/CHAINS.md): runs a planned chain
-// parenthesization as ONE tile-granular task DAG instead of a sequence of
-// product-at-a-time ATMULT calls. Every (row band, col band) pair of every
-// product in the plan tree is a task; a downstream product's task starts
-// the moment the input result-tiles it reads are complete — there is no
-// full-matrix barrier between products. Intermediate result tiles stay
-// resident only from their producing task until their last consuming task
-// finishes (ResidentTileSet), so the peak intermediate footprint can stay
-// far below materializing every intermediate whole.
+// The product pipeline (docs/CHAINS.md): every ATMULT product runs as a
+// node of ONE tile-granular task DAG (RunProductGraph). A standalone
+// multiplication is a one-node graph; a fused chain runs its planned
+// parenthesization as one graph instead of a sequence of product-at-a-time
+// calls. Every (row band, col band) pair of every product is a task; a
+// downstream product's task starts the moment the input result-tiles it
+// reads are complete — there is no full-matrix barrier between products.
+// Intermediate result tiles stay resident only from their producing task
+// until their last consuming task finishes (ResidentTileSet), so the peak
+// intermediate footprint can stay far below materializing every
+// intermediate whole.
 //
-// Both paths run the identical per-tile pipeline (RunProductTileTask) on
+// Every node runs the identical per-tile pipeline (RunProductTileTask) on
 // bitwise-identical inputs — same operand tiles, same band iteration
-// order, same region-by-region density estimates, same write threshold —
-// so fused results are bitwise identical to unfused ones. Under a finite
-// memory budget the chain-scope water level (ChainBudgetPlan) plans one
-// threshold per product and imposes it on BOTH executors, keeping that
-// identity; the fused DAG additionally admission-gates ready tile tasks
-// against the budget (scheduling order never affects results).
+// order, same density estimates (region by region in a fused chain, up
+// front for a standalone product), same write threshold — so fused results
+// are bitwise identical to the product-at-a-time reference, a sequence of
+// one-node graphs. Under a finite memory budget the chain-scope water
+// level (ChainBudgetPlan) plans one threshold per product and imposes it
+// on BOTH executors, keeping that identity; the fused DAG additionally
+// admission-gates ready tile tasks against the budget (scheduling order
+// never affects results).
 
 #ifndef ATMX_OPS_CHAIN_EXEC_H_
 #define ATMX_OPS_CHAIN_EXEC_H_
@@ -30,7 +34,65 @@
 #include "ops/chain.h"
 #include "tile/at_matrix.h"
 
-namespace atmx::internal {
+namespace atmx {
+
+class ConversionCache;
+
+namespace internal {
+
+// One product of a task graph, C = left * right (+ c_init). Each operand
+// is either a finished matrix, multiplied through the JIT conversion cache
+// the caller assigns it, or the result of an earlier node of the same
+// graph (its tiles stay resident until this node consumed them, and its
+// conversions go through a cache of that node's result).
+struct ProductNodeSpec {
+  const ATMatrix* left = nullptr;  // null when left_node >= 0
+  int left_node = -1;
+  ConversionCache* left_cache = nullptr;
+  const ATMatrix* right = nullptr;  // null when right_node >= 0
+  int right_node = -1;
+  ConversionCache* right_cache = nullptr;
+
+  // MultiplyAdd's accumulator; requires `estimate` when density
+  // estimation is on (the estimate must include it).
+  const ATMatrix* c_init = nullptr;
+  // Effective write threshold rhoD_W. Negative asks MultiplyNode to solve
+  // the operator's own water level; RunProductGraph needs it set.
+  double rho_w = -1.0;
+  // Result density estimate computed before the graph runs (the
+  // standalone operator's up-front estimate). Null: each task estimates
+  // its own region from the operands' actual maps once they are final.
+  const DensityMap* estimate = nullptr;
+  // Planning-time estimate of the result, used for LPT task costs and
+  // admission (a ChainBudgetPlan map). Null: `estimate` when set,
+  // otherwise estimated from the operands' planned maps.
+  const DensityMap* planned_map = nullptr;
+  // Decision-audit op id; 0 draws one per node when auditing is on.
+  std::uint64_t op_id = 0;
+};
+
+// Runs `nodes` — in post-order: operands before consumers, the last node
+// is the root whose result is returned — as one dependency-scheduled
+// tile-task DAG on a fresh TeamScheduler. A non-zero `budget_bytes`
+// admission-gates ready tasks against it (projected output bytes at each
+// node's planned map and threshold reserved up front, released as
+// consumers retire tiles; see ScheduleOptions::admit). Fills `stats`:
+// per_product in node order, total (plus the graph-wide conversions and
+// scheduler outcome), resident_peak_bytes and, for multi-node (fused)
+// graphs, fused/fused_tasks. Publishes the atmult.* registry counters and
+// the density-ledger join of every node.
+ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& nodes,
+                         const AtMult& op, std::uint64_t budget_bytes,
+                         ChainExecStats* stats);
+
+// The ATMULT operator on one product (ops/atmult.cc): the up-front density
+// estimate (with `node.c_init` folded in), the water level unless
+// `node.rho_w` is preset, and a one-node RunProductGraph. AtMult's public
+// methods run it with one private ConversionCache per operand; the
+// product-at-a-time chain executor with its per-matrix caches and
+// chain-planned thresholds. `stats` is required.
+ATMatrix MultiplyNode(const AtMult& op, ProductNodeSpec node,
+                      AtMultStats* stats);
 
 // True when the chain is eligible for fused execution: at least two
 // products (three matrices), and — when the result-memory budget is
@@ -69,11 +131,11 @@ struct ChainBudgetPlan {
 ChainBudgetPlan PlanChainBudget(const std::vector<const ATMatrix*>& chain,
                                 const ChainPlan& plan, const AtMult& op);
 
-// Executes the planned chain as one dependency-scheduled tile-task DAG.
-// When `budget.active`, each product writes at its chain-planned
-// threshold and the scheduler admission-gates ready tile tasks against
-// the shared budget (projected bytes reserved up front, released as
-// consumers retire tiles; see ScheduleOptions::admit).
+// Executes the planned chain as one product graph (RunProductGraph), with
+// one JIT conversion cache per distinct source matrix. When
+// `budget.active`, each product writes at its chain-planned threshold and
+// the scheduler admission-gates ready tile tasks against the shared
+// budget.
 // Preconditions: CanFuseChain() holds, chain.size() == plan.split.size(),
 // and `stats` is non-null (the caller owns reporting).
 ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
@@ -90,6 +152,7 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
 // executors.
 void AccumulateProductStats(const AtMultStats& s, AtMultStats* total);
 
-}  // namespace atmx::internal
+}  // namespace internal
+}  // namespace atmx
 
 #endif  // ATMX_OPS_CHAIN_EXEC_H_

@@ -1,6 +1,5 @@
 #include "ops/optimizer.h"
 
-#include "common/timer.h"
 #include "obs/obs.h"
 #include "storage/convert.h"
 
@@ -60,21 +59,17 @@ ConversionCache::~ConversionCache() {
 #endif
 }
 
-const DenseMatrix& ConversionCache::GetDense(Side side, index_t tile_idx,
-                                             const Tile& tile,
-                                             double* conversion_seconds) {
+const DenseMatrix& ConversionCache::GetDense(index_t tile_idx,
+                                             const Tile& tile) {
   ATMX_CHECK(!tile.is_dense());
-  const std::uint64_t key = Key(side, tile_idx);
   MutexLock lock(mutex_);
-  auto it = dense_.find(key);
+  auto it = dense_.find(tile_idx);
   if (it == dense_.end()) {
     ATMX_TRACE_SPAN_ARGS("convert", "sparse_to_dense",
                          {"rows", tile.sparse().rows()},
                          {"cols", tile.sparse().cols()},
                          {"nnz", tile.sparse().nnz()});
-    WallTimer timer;
     auto converted = std::make_unique<DenseMatrix>(CsrToDense(tile.sparse()));
-    *conversion_seconds += timer.ElapsedSeconds();
     ++sparse_to_dense_count_;
     ATMX_COUNTER_INC("atmult.conversions.sparse_to_dense");
 #if defined(ATMX_OBS_ENABLED)
@@ -84,25 +79,21 @@ const DenseMatrix& ConversionCache::GetDense(Side side, index_t tile_idx,
       obs::MemTracker::Global().RecordAlloc(bytes);
     }
 #endif
-    it = dense_.emplace(key, std::move(converted)).first;
+    it = dense_.emplace(tile_idx, std::move(converted)).first;
   }
   return *it->second;
 }
 
-const CsrMatrix& ConversionCache::GetSparse(Side side, index_t tile_idx,
-                                            const Tile& tile,
-                                            double* conversion_seconds) {
+const CsrMatrix& ConversionCache::GetSparse(index_t tile_idx,
+                                            const Tile& tile) {
   ATMX_CHECK(tile.is_dense());
-  const std::uint64_t key = Key(side, tile_idx);
   MutexLock lock(mutex_);
-  auto it = sparse_.find(key);
+  auto it = sparse_.find(tile_idx);
   if (it == sparse_.end()) {
     ATMX_TRACE_SPAN_ARGS("convert", "dense_to_sparse",
                          {"rows", tile.dense().rows()},
                          {"cols", tile.dense().cols()});
-    WallTimer timer;
     auto converted = std::make_unique<CsrMatrix>(DenseToCsr(tile.dense()));
-    *conversion_seconds += timer.ElapsedSeconds();
     ++dense_to_sparse_count_;
     ATMX_COUNTER_INC("atmult.conversions.dense_to_sparse");
 #if defined(ATMX_OBS_ENABLED)
@@ -112,19 +103,19 @@ const CsrMatrix& ConversionCache::GetSparse(Side side, index_t tile_idx,
       obs::MemTracker::Global().RecordAlloc(bytes);
     }
 #endif
-    it = sparse_.emplace(key, std::move(converted)).first;
+    it = sparse_.emplace(tile_idx, std::move(converted)).first;
   }
   return *it->second;
 }
 
-bool ConversionCache::HasDense(Side side, index_t tile_idx) const {
+bool ConversionCache::HasDense(index_t tile_idx) const {
   MutexLock lock(mutex_);
-  return dense_.count(Key(side, tile_idx)) > 0;
+  return dense_.count(tile_idx) > 0;
 }
 
-bool ConversionCache::HasSparse(Side side, index_t tile_idx) const {
+bool ConversionCache::HasSparse(index_t tile_idx) const {
   MutexLock lock(mutex_);
-  return sparse_.count(Key(side, tile_idx)) > 0;
+  return sparse_.count(tile_idx) > 0;
 }
 
 }  // namespace atmx

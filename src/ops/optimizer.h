@@ -39,13 +39,12 @@ PairDecision DecidePairRepresentations(const CostModel& model,
                                        bool a_cached, bool b_cached,
                                        bool c_dense, bool allow_conversion);
 
-// Thread-safe cache of converted tile payloads, keyed by (operand, tile
-// index). Lives for the duration of one ATMULT operation.
+// Thread-safe cache of the converted tile payloads of one operand matrix,
+// keyed by tile index. Standalone ATMULT gives each operand its own cache
+// for one operation; the chain executor keeps one per source matrix for the
+// whole chain.
 class ConversionCache {
  public:
-  // Identifies the operand matrix a tile belongs to.
-  enum Side { kLeft = 0, kRight = 1 };
-
   ConversionCache() = default;
   // Releases the cache's contribution to the allocation tracker (the
   // converted payloads themselves die with the maps).
@@ -54,17 +53,13 @@ class ConversionCache {
   ConversionCache& operator=(const ConversionCache&) = delete;
 
   // Dense payload of `tile` (converting and caching on first use).
-  // `conversion_seconds` is incremented by the conversion time when one
-  // happens.
-  const DenseMatrix& GetDense(Side side, index_t tile_idx, const Tile& tile,
-                              double* conversion_seconds);
+  const DenseMatrix& GetDense(index_t tile_idx, const Tile& tile);
 
   // Sparse payload of `tile`, analogous.
-  const CsrMatrix& GetSparse(Side side, index_t tile_idx, const Tile& tile,
-                             double* conversion_seconds);
+  const CsrMatrix& GetSparse(index_t tile_idx, const Tile& tile);
 
-  bool HasDense(Side side, index_t tile_idx) const;
-  bool HasSparse(Side side, index_t tile_idx) const;
+  bool HasDense(index_t tile_idx) const;
+  bool HasSparse(index_t tile_idx) const;
 
   // Conversion counts so far. Locked: tasks on other teams may still be
   // converting while a caller polls (the pre-annotation accessors read the
@@ -86,15 +81,10 @@ class ConversionCache {
   }
 
  private:
-  static std::uint64_t Key(Side side, index_t tile_idx) {
-    return (static_cast<std::uint64_t>(side) << 62) |
-           static_cast<std::uint64_t>(tile_idx);
-  }
-
   mutable Mutex mutex_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<DenseMatrix>> dense_
+  std::unordered_map<index_t, std::unique_ptr<DenseMatrix>> dense_
       ATMX_GUARDED_BY(mutex_);
-  std::unordered_map<std::uint64_t, std::unique_ptr<CsrMatrix>> sparse_
+  std::unordered_map<index_t, std::unique_ptr<CsrMatrix>> sparse_
       ATMX_GUARDED_BY(mutex_);
   index_t sparse_to_dense_count_ ATMX_GUARDED_BY(mutex_) = 0;
   index_t dense_to_sparse_count_ ATMX_GUARDED_BY(mutex_) = 0;

@@ -150,7 +150,6 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
                        {"rows", m}, {"cols", n});
 
   double opt_seconds = 0.0;
-  double conv_seconds = 0.0;  // subsumed by the optimizer timer below
   double mult_seconds = 0.0;
   index_t pairs_done = 0;
   std::uint64_t local_read = 0, remote_read = 0;
@@ -260,14 +259,10 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
       PairDecision decision;
       bool a_cached = false, b_cached = false;
       if (ctx.dynamic_conversion) {
-        a_cached =
-            mp.a_tile->is_dense()
-                ? ctx.a_cache->HasSparse(ctx.a_cache_side, mp.a_idx)
-                : ctx.a_cache->HasDense(ctx.a_cache_side, mp.a_idx);
-        b_cached =
-            mp.b_tile->is_dense()
-                ? ctx.b_cache->HasSparse(ctx.b_cache_side, mp.b_idx)
-                : ctx.b_cache->HasDense(ctx.b_cache_side, mp.b_idx);
+        a_cached = mp.a_tile->is_dense() ? ctx.a_cache->HasSparse(mp.a_idx)
+                                         : ctx.a_cache->HasDense(mp.a_idx);
+        b_cached = mp.b_tile->is_dense() ? ctx.b_cache->HasSparse(mp.b_idx)
+                                         : ctx.b_cache->HasDense(mp.b_idx);
         decision = DecidePairRepresentations(
             *ctx.cost_model, shape, mp.a_tile->is_dense(),
             mp.b_tile->is_dense(), a_cached, b_cached, c_dense,
@@ -355,15 +350,13 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
         const DenseMatrix& dm =
             mp.a_tile->is_dense()
                 ? mp.a_tile->dense()
-                : ctx.a_cache->GetDense(ctx.a_cache_side, mp.a_idx,
-                                        *mp.a_tile, &conv_seconds);
+                : ctx.a_cache->GetDense(mp.a_idx, *mp.a_tile);
         pp.a = Operand::Dense(
             dm.View().Window(wa.r0, wa.c0, wa.rows(), wa.cols()));
       } else {
         const CsrMatrix& sm =
             mp.a_tile->is_dense()
-                ? ctx.a_cache->GetSparse(ctx.a_cache_side, mp.a_idx,
-                                         *mp.a_tile, &conv_seconds)
+                ? ctx.a_cache->GetSparse(mp.a_idx, *mp.a_tile)
                 : mp.a_tile->sparse();
         pp.a = Operand::Sparse(&sm, wa);
       }
@@ -374,15 +367,13 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
         const DenseMatrix& dm =
             mp.b_tile->is_dense()
                 ? mp.b_tile->dense()
-                : ctx.b_cache->GetDense(ctx.b_cache_side, mp.b_idx,
-                                        *mp.b_tile, &conv_seconds);
+                : ctx.b_cache->GetDense(mp.b_idx, *mp.b_tile);
         pp.b = Operand::Dense(
             dm.View().Window(wb.r0, wb.c0, wb.rows(), wb.cols()));
       } else {
         const CsrMatrix& sm =
             mp.b_tile->is_dense()
-                ? ctx.b_cache->GetSparse(ctx.b_cache_side, mp.b_idx,
-                                         *mp.b_tile, &conv_seconds)
+                ? ctx.b_cache->GetSparse(mp.b_idx, *mp.b_tile)
                 : mp.b_tile->sparse();
         pp.b = Operand::Sparse(&sm, wb);
       }
@@ -392,10 +383,8 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
                                           shape.k, shape.n);
       prepared.push_back(std::move(pp));
     }
-    // The surrounding timer already covers the JIT conversions
-    // (conv_seconds), so only the timer is accumulated.
+    // The JIT conversions run inside this timer.
     opt_seconds += opt_timer.ElapsedSeconds();
-    (void)conv_seconds;
   }
 
   // --- Execute: accumulate all pairs into the C tile. -----------------
@@ -660,13 +649,6 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
   }
 #endif
   c_tiles[task].set_home_node(exec_node);  // first-touch placement
-#if defined(ATMX_OBS_ENABLED)
-  if (ctx.tracked_bytes != nullptr) {
-    const std::size_t tile_bytes = c_tiles[task].MemoryBytes();
-    obs::MemTracker::Global().RecordAlloc(tile_bytes);
-    ctx.tracked_bytes->fetch_add(tile_bytes, std::memory_order_relaxed);
-  }
-#endif
   pairs_done = static_cast<index_t>(prepared.size());
 
   for (const PreparedPair& pp : prepared) {
@@ -685,6 +667,11 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
   stats->local_read_bytes += local_read;
   stats->remote_read_bytes += remote_read;
   stats->local_write_bytes += c_tiles[task].MemoryBytes();
+  if (c_tiles[task].is_dense()) {
+    stats->dense_result_tiles++;
+  } else {
+    stats->sparse_result_tiles++;
+  }
 }
 
 }  // namespace atmx::internal

@@ -1,19 +1,18 @@
-// The tile-granular unit of work shared by ATMULT and the fused chain
-// executor: one task produces one C tile of one product A * B, running the
-// full per-pair pipeline (window matching, dynamic representation
-// decisions with JIT conversions, kernel dispatch, density bookkeeping).
+// The tile-granular unit of work of every product: one task produces one C
+// tile of one product A * B, running the full per-pair pipeline (window
+// matching, dynamic representation decisions with JIT conversions, kernel
+// dispatch, density bookkeeping).
 //
-// AtMult::MultiplyImpl wraps this in a flat RunTasks batch over one
-// product; ops/chain_exec.cc wraps it in a cross-product task DAG where an
-// operand may be a still-materializing intermediate. Both paths execute
-// the *same* code on the same inputs, which is what makes fused chain
-// execution bitwise-identical to product-at-a-time execution (see
+// ops/chain_exec.cc's product graph (RunProductGraph) schedules these
+// tasks: a standalone ATMULT is a one-node graph, a fused chain one graph
+// whose operands may be still-materializing intermediates. Every product
+// executes the *same* code on the same inputs, which is what makes fused
+// chain execution bitwise-identical to product-at-a-time execution (see
 // docs/CHAINS.md).
 
 #ifndef ATMX_OPS_PRODUCT_TASK_H_
 #define ATMX_OPS_PRODUCT_TASK_H_
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -99,15 +98,10 @@ struct ProductContext {
   bool dynamic_conversion = true;
   const CostModel* cost_model = nullptr;
 
-  // JIT conversion caches for the two operands, plus the key side each is
-  // addressed with. A private per-operation cache uses one object with
-  // kLeft/kRight sides; the chain executor passes one cache per source
-  // matrix (always addressed as kLeft), so a matrix repeated across
-  // products — or on both sides of one product — shares its conversions.
+  // JIT conversion caches of the two operand matrices (the same object
+  // when a chain multiplies a source matrix by itself).
   ConversionCache* a_cache = nullptr;
-  ConversionCache::Side a_cache_side = ConversionCache::kLeft;
   ConversionCache* b_cache = nullptr;
-  ConversionCache::Side b_cache_side = ConversionCache::kRight;
 
   // Optional accumulator (MultiplyAdd's C); null for plain products.
   const ATMatrix* c_init = nullptr;
@@ -120,7 +114,8 @@ struct ProductContext {
   std::vector<double>* block_counts = nullptr;
   index_t grid_cols = 0;
 
-  // Per-product stats accumulation, guarded by stats_mutex.
+  // Per-product stats accumulation (timings, pairs, kernel variants,
+  // result-tile census, locality bytes), guarded by stats_mutex.
   AtMultStats* stats = nullptr;
   Mutex* stats_mutex = nullptr;
 
@@ -130,17 +125,12 @@ struct ProductContext {
   // Prediction-vs-outcome ledger recording (obs::AuditLedger): per-pair
   // representation decisions, per-task cost outcomes, SPA mode choices.
   bool ledger_enabled = false;
-
-  // When non-null, result-tile bytes are recorded with the MemTracker and
-  // accumulated here so the caller can release the operator-transient
-  // footprint when ownership passes on.
-  std::atomic<std::uint64_t>* tracked_bytes = nullptr;
 };
 
 // Runs task `task` (= ti * b.num_col_bands() + tj): produces the C tile
 // for row band ti x col band tj into (*ctx.c_tiles)[task], accumulates the
-// block counts and stats. `team` provides intra-task parallelism and the
-// locality accounting node.
+// block counts and stats (including the tile's dense/sparse census).
+// `team` provides intra-task parallelism and the locality accounting node.
 void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
                         index_t task);
 

@@ -156,8 +156,14 @@ TeamScheduler::~TeamScheduler() = default;
 
 void TeamScheduler::RunTasks(
     index_t num_tasks, const std::function<int(index_t)>& home_of,
-    const std::function<void(WorkerTeam&, index_t)>& run) {
-  RunTasks(num_tasks, home_of, run, ScheduleOptions(), nullptr);
+    const std::function<void(WorkerTeam&, index_t)>& run,
+    const ScheduleOptions& options, ScheduleStats* stats) {
+  // An independent batch is a task graph without edges.
+  RunTaskGraph(num_tasks,
+               std::vector<index_t>(static_cast<std::size_t>(num_tasks), 0),
+               std::vector<std::vector<index_t>>(
+                   static_cast<std::size_t>(num_tasks)),
+               home_of, run, options, stats);
 }
 
 void TeamScheduler::RunTaskGraph(
@@ -178,9 +184,10 @@ void TeamScheduler::RunTaskGraph(
     homes[static_cast<std::size_t>(task)] = home;
   }
 
-  // One mutex for the whole graph state: releases are rare (one lock round
-  // per task) next to the tile-sized tasks, and a single lock keeps the
-  // ready/dependency protocol trivially race-free.
+  // One mutex for the whole graph state: tasks are whole tile
+  // multiplications, so one lock round per claim and per completion is
+  // noise next to the task body, and a single lock keeps the
+  // ready/dependency protocol trivially race-free (and TSan-clean).
   struct ParkedTask {
     index_t task;
     std::uint64_t epoch;  // completion epoch when the task was parked
@@ -190,19 +197,23 @@ void TeamScheduler::RunTaskGraph(
     CondVar ready_cv;
     std::vector<index_t> deps ATMX_GUARDED_BY(mu);
     std::vector<std::deque<index_t>> queues ATMX_GUARDED_BY(mu);
+    // Tasks taken off a queue (or the parked list) and not parked again;
+    // claimed - completed is the number in flight.
+    index_t claimed ATMX_GUARDED_BY(mu) = 0;
     index_t completed ATMX_GUARDED_BY(mu) = 0;
     // Admission-control state (options.admit only). `parked` holds tasks
     // the gate rejected, oldest first; epochs are non-decreasing front to
     // back (tasks re-park at the then-current epoch), so the front entry
     // alone decides whether any parked task has a pending retry.
     std::deque<ParkedTask> parked ATMX_GUARDED_BY(mu);
-    index_t in_flight ATMX_GUARDED_BY(mu) = 0;
     std::uint64_t epoch ATMX_GUARDED_BY(mu) = 0;  // bumped per completion
   };
-  // Initially-ready tasks enter in submission order; with a cost model
-  // they are re-ordered longest-first like RunTasks, so the expensive
-  // sources start immediately and thieves take the cheap tail. Costs are
-  // evaluated before any lock exists (cost_of is a caller callback).
+  // Initially-ready tasks enter their home queues in submission order. With
+  // a cost model they are ordered longest-processing-time-first (stable, so
+  // equal costs keep submission order and scheduling stays reproducible):
+  // the expensive head runs home-local first, shrinking the makespan bound,
+  // and the cheap tail is what thieves take. Costs are evaluated before any
+  // lock exists (cost_of is a caller callback).
   std::vector<index_t> ready;
   for (index_t task = 0; task < num_tasks; ++task) {
     const index_t deps = dep_count[static_cast<std::size_t>(task)];
@@ -239,242 +250,24 @@ void TeamScheduler::RunTaskGraph(
     }
   }
 
-  std::vector<std::vector<int>> victims(static_cast<std::size_t>(nt));
-  if (options.work_stealing && nt > 1) {
-    for (int t = 0; t < nt; ++t) {
-      auto& order = victims[static_cast<std::size_t>(t)];
-      for (int v = 0; v < nt; ++v) {
-        if (v != t) order.push_back(v);
-      }
-      std::stable_sort(order.begin(), order.end(), [&](int x, int y) {
-        return NumaDistance(t, x, nt) < NumaDistance(t, y, nt);
-      });
-    }
-  }
-
-  ScheduleStats stats;
-  stats.executed_per_team.assign(static_cast<std::size_t>(nt), 0);
-  stats.stolen_per_team.assign(static_cast<std::size_t>(nt), 0);
-  stats.busy_seconds.assign(static_cast<std::size_t>(nt), 0.0);
-  stats.cpu_seconds.assign(static_cast<std::size_t>(nt), 0.0);
-  WallTimer makespan_timer;
-  ATMX_COUNTER_ADD("threadpool.graph_tasks", num_tasks);
-
-  std::vector<std::thread> drivers;
-  drivers.reserve(teams_.size());
-  for (int t = 0; t < nt; ++t) {
-    drivers.emplace_back([&, t] {
-      const std::size_t self = static_cast<std::size_t>(t);
-      index_t executed = 0;
-      index_t stolen = 0;
-      double busy = 0.0;
-      double cpu = 0.0;
-      for (;;) {
-        index_t task = -1;
-        int source = -1;
-        bool forced = false;
-        {
-          MutexLock lock(state.mu);
-          for (;;) {
-            // A completed task may have freed resources: retry the oldest
-            // parked task before dequeuing new work, at most once per
-            // completion epoch (the front entry carries the minimal epoch,
-            // so a fresh front means nothing parked is retryable yet).
-            if (options.admit && !state.parked.empty() &&
-                state.parked.front().epoch < state.epoch) {
-              task = state.parked.front().task;
-              state.parked.pop_front();
-              source = homes[static_cast<std::size_t>(task)];
-              break;
-            }
-            if (!state.queues[self].empty()) {
-              task = state.queues[self].front();
-              state.queues[self].pop_front();
-              source = t;
-              break;
-            }
-            if (options.work_stealing) {
-              for (int v : victims[self]) {
-                auto& vq = state.queues[static_cast<std::size_t>(v)];
-                if (!vq.empty()) {
-                  task = vq.back();
-                  vq.pop_back();
-                  source = v;
-                  break;
-                }
-              }
-              if (source >= 0) break;
-            }
-            if (options.admit && !state.parked.empty() &&
-                state.in_flight == 0) {
-              bool any_queued = false;
-              for (const auto& q : state.queues) {
-                if (!q.empty()) any_queued = true;
-              }
-              if (!any_queued) {
-                // Deadlock-free fallback: every ready task is parked and
-                // nothing is running that could release resources — admit
-                // the oldest parked task unconditionally.
-                task = state.parked.front().task;
-                state.parked.pop_front();
-                source = homes[static_cast<std::size_t>(task)];
-                forced = true;
-                break;
-              }
-            }
-            if (state.completed == num_tasks) break;
-            // Nothing ready anywhere but tasks still in flight: their
-            // completions will release successors (or finish the batch).
-            state.ready_cv.Wait(state.mu);
-          }
-          if (source >= 0) ++state.in_flight;
-        }
-        if (source < 0) break;
-        if (options.admit && !options.admit(task, forced)) {
-          // Gate rejected (never with forced set): park the task at the
-          // current epoch and rejoin the claim loop — if this rejection
-          // left nothing in flight, the force branch above fires next.
-          MutexLock lock(state.mu);
-          --state.in_flight;
-          state.parked.push_back({task, state.epoch});
-          continue;
-        }
-        const bool was_stolen = source != t;
-        WallTimer task_timer;
-        ThreadCpuTimer task_cpu_timer;
-        {
-          ATMX_TRACE_SPAN_ARGS("sched", "task", {"team", t}, {"task", task},
-                               {"home", source},
-                               {"stolen", was_stolen ? 1 : 0});
-#if defined(ATMX_OBS_ENABLED)
-          if (was_stolen) {
-            obs::TraceRecorder::Global().RecordInstant(
-                "sched", "steal",
-                {{"thief", t}, {"victim", source}, {"task", task}});
-          }
-#endif
-          run(*teams_[self], task);
-        }
-        busy += task_timer.ElapsedSeconds();
-        cpu += task_cpu_timer.ElapsedSeconds();
-        ++executed;
-        if (was_stolen) ++stolen;
-        {
-          MutexLock lock(state.mu);
-          ++state.completed;
-          --state.in_flight;
-          // A completion is the only event that frees admission resources:
-          // bump the epoch so every currently parked task earns one retry.
-          ++state.epoch;
-          for (index_t succ : successors[static_cast<std::size_t>(task)]) {
-            ATMX_CHECK(succ >= 0 && succ < num_tasks);
-            index_t& remaining = state.deps[static_cast<std::size_t>(succ)];
-            ATMX_CHECK_GT(remaining, 0);
-            if (--remaining == 0) {
-              // Front of the home queue: the successor consumes this
-              // task's freshly produced tile, so run it before colder
-              // initially-ready work.
-              state.queues[static_cast<std::size_t>(
-                               homes[static_cast<std::size_t>(succ)])]
-                  .push_front(succ);
-            }
-          }
-        }
-        state.ready_cv.NotifyAll();
-      }
-      stats.executed_per_team[self] = executed;
-      stats.stolen_per_team[self] = stolen;
-      stats.busy_seconds[self] = busy;
-      stats.cpu_seconds[self] = cpu;
-    });
-  }
-  for (auto& d : drivers) d.join();
-  stats.makespan_seconds = makespan_timer.ElapsedSeconds();
-  {
-    MutexLock lock(state.mu);
-    // A cyclic graph or inconsistent counts/edges would have deadlocked
-    // the drivers above; an unreleased task here means the caller passed
-    // counts larger than the edges actually delivered.
-    ATMX_CHECK_EQ(state.completed, num_tasks);
-    ATMX_CHECK(state.parked.empty());
-    ATMX_CHECK_EQ(state.in_flight, 0);
-  }
-#if defined(ATMX_OBS_ENABLED)
-  if (options.work_stealing) {
-    ATMX_COUNTER_ADD("threadpool.steals", stats.TotalSteals());
-  }
-#endif
-  if (stats_out != nullptr) *stats_out = std::move(stats);
-}
-
-void TeamScheduler::RunTasks(
-    index_t num_tasks, const std::function<int(index_t)>& home_of,
-    const std::function<void(WorkerTeam&, index_t)>& run,
-    const ScheduleOptions& options, ScheduleStats* stats_out) {
-  const int nt = num_teams();
-
-  // Mutex-protected deques: the owner pops from the front, thieves pop
-  // from the back. Tasks here are whole tile multiplications — coarse
-  // enough that a lock per pop is noise next to the task itself, and a
-  // mutex keeps the protocol trivially TSan-clean.
-  struct TaskQueue {
-    Mutex mu;
-    std::deque<index_t> q ATMX_GUARDED_BY(mu);
-  };
-  std::vector<TaskQueue> queues(static_cast<std::size_t>(nt));
-  // The population / ordering phase below runs before any driver thread
-  // exists, but it still takes the queue locks: uncontended acquisitions
-  // are noise next to home_of/cost_of, and the analysis then covers every
-  // access uniformly instead of needing an escape hatch.
-  for (index_t task = 0; task < num_tasks; ++task) {
-    const int home = home_of(task);
-    ATMX_CHECK(home >= 0 && home < nt);
-    TaskQueue& tq = queues[static_cast<std::size_t>(home)];
-    MutexLock lock(tq.mu);
-    tq.q.push_back(task);
-  }
-
-  // Longest-processing-time-first within each home queue: the expensive
-  // head runs home-local first (shrinking the makespan bound), the cheap
-  // tail is what thieves take. Stable so equal-cost tasks keep submission
-  // order and scheduling stays reproducible.
-  if (options.work_stealing && options.cost_of) {
-    std::vector<double> cost(static_cast<std::size_t>(num_tasks));
-    for (index_t task = 0; task < num_tasks; ++task) {
-      cost[static_cast<std::size_t>(task)] = options.cost_of(task);
-    }
-    for (auto& tq : queues) {
-      MutexLock lock(tq.mu);
-      std::stable_sort(tq.q.begin(), tq.q.end(),
-                       [&](index_t a, index_t b) {
-                         return cost[static_cast<std::size_t>(a)] >
-                                cost[static_cast<std::size_t>(b)];
-                       });
-    }
-  }
-
 #if defined(ATMX_OBS_ENABLED)
   // Queue-depth balance after home assignment. Without stealing this
   // imbalance directly bounds the makespan; with stealing it is what the
   // steal traffic (threadpool.steals) has to level out.
   {
-    std::size_t min_depth = 0;
-    std::size_t max_depth = 0;
-    bool first_queue = true;
-    for (auto& tq : queues) {
-      MutexLock lock(tq.mu);
-      const std::size_t depth = tq.q.size();
-      min_depth = first_queue ? depth : std::min(min_depth, depth);
-      max_depth = std::max(max_depth, depth);
-      first_queue = false;
+    std::vector<std::size_t> depth(static_cast<std::size_t>(nt), 0);
+    for (index_t task : ready) {
+      ++depth[static_cast<std::size_t>(homes[static_cast<std::size_t>(task)])];
     }
+    const auto [min_depth, max_depth] =
+        std::minmax_element(depth.begin(), depth.end());
     ATMX_COUNTER_ADD("threadpool.tasks", num_tasks);
-    ATMX_GAUGE_SET("threadpool.queue_depth.max", max_depth);
-    ATMX_GAUGE_SET("threadpool.queue_depth.min", min_depth);
+    ATMX_GAUGE_SET("threadpool.queue_depth.max", *max_depth);
+    ATMX_GAUGE_SET("threadpool.queue_depth.min", *min_depth);
     ATMX_GAUGE_SET("threadpool.queue_depth.imbalance",
-                   max_depth > 0
-                       ? 1.0 - static_cast<double>(min_depth) /
-                                   static_cast<double>(max_depth)
+                   *max_depth > 0
+                       ? 1.0 - static_cast<double>(*min_depth) /
+                                   static_cast<double>(*max_depth)
                        : 0.0);
   }
 #endif
@@ -518,30 +311,76 @@ void TeamScheduler::RunTasks(
       for (;;) {
         index_t task = -1;
         int source = -1;
+        bool forced = false;
         {
-          TaskQueue& home = queues[self];
-          MutexLock lock(home.mu);
-          if (!home.q.empty()) {
-            task = home.q.front();
-            home.q.pop_front();
-            source = t;
-          }
-        }
-        if (source < 0 && options.work_stealing) {
-          for (int v : victims[self]) {
-            TaskQueue& victim = queues[static_cast<std::size_t>(v)];
-            MutexLock lock(victim.mu);
-            if (!victim.q.empty()) {
-              task = victim.q.back();
-              victim.q.pop_back();
-              source = v;
+          MutexLock lock(state.mu);
+          for (;;) {
+            // Tasks never respawn: once every task is claimed (none queued,
+            // none parked) nothing is left for this driver, so it retires
+            // instead of waiting for the last completion.
+            if (state.claimed == num_tasks) break;
+            // A completed task may have freed resources: retry the oldest
+            // parked task before dequeuing new work, at most once per
+            // completion epoch (the front entry carries the minimal epoch,
+            // so a fresh front means nothing parked is retryable yet).
+            if (options.admit && !state.parked.empty() &&
+                state.parked.front().epoch < state.epoch) {
+              task = state.parked.front().task;
+              state.parked.pop_front();
+              source = homes[static_cast<std::size_t>(task)];
               break;
             }
+            if (!state.queues[self].empty()) {
+              task = state.queues[self].front();
+              state.queues[self].pop_front();
+              source = t;
+              break;
+            }
+            if (options.work_stealing) {
+              for (int v : victims[self]) {
+                auto& vq = state.queues[static_cast<std::size_t>(v)];
+                if (!vq.empty()) {
+                  task = vq.back();
+                  vq.pop_back();
+                  source = v;
+                  break;
+                }
+              }
+              if (source >= 0) break;
+            }
+            if (options.admit && !state.parked.empty() &&
+                state.claimed == state.completed) {
+              bool any_queued = false;
+              for (const auto& q : state.queues) {
+                if (!q.empty()) any_queued = true;
+              }
+              if (!any_queued) {
+                // Deadlock-free fallback: every ready task is parked and
+                // nothing is running that could release resources — admit
+                // the oldest parked task unconditionally.
+                task = state.parked.front().task;
+                state.parked.pop_front();
+                source = homes[static_cast<std::size_t>(task)];
+                forced = true;
+                break;
+              }
+            }
+            // Nothing ready anywhere but tasks still in flight: their
+            // completions will release successors or parked retries.
+            state.ready_cv.Wait(state.mu);
           }
+          if (source >= 0) ++state.claimed;
         }
-        // Tasks never respawn, so observing every queue empty means the
-        // batch is fully claimed and this driver can retire.
         if (source < 0) break;
+        if (options.admit && !options.admit(task, forced)) {
+          // Gate rejected (never with forced set): park the task at the
+          // current epoch and rejoin the claim loop — if this rejection
+          // left nothing in flight, the force branch above fires next.
+          MutexLock lock(state.mu);
+          --state.claimed;
+          state.parked.push_back({task, state.epoch});
+          continue;
+        }
         const bool was_stolen = source != t;
         WallTimer task_timer;
         ThreadCpuTimer task_cpu_timer;
@@ -564,6 +403,27 @@ void TeamScheduler::RunTasks(
         max_task = std::max(max_task, seconds);
         ++executed;
         if (was_stolen) ++stolen;
+        {
+          MutexLock lock(state.mu);
+          ++state.completed;
+          // A completion is the only event that frees admission resources:
+          // bump the epoch so every currently parked task earns one retry.
+          ++state.epoch;
+          for (index_t succ : successors[static_cast<std::size_t>(task)]) {
+            ATMX_CHECK(succ >= 0 && succ < num_tasks);
+            index_t& remaining = state.deps[static_cast<std::size_t>(succ)];
+            ATMX_CHECK_GT(remaining, 0);
+            if (--remaining == 0) {
+              // Front of the home queue: the successor consumes this
+              // task's freshly produced tile, so run it before colder
+              // initially-ready work.
+              state.queues[static_cast<std::size_t>(
+                               homes[static_cast<std::size_t>(succ)])]
+                  .push_front(succ);
+            }
+          }
+        }
+        state.ready_cv.NotifyAll();
       }
       // Distinct slots per driver — no lock needed.
       stats.executed_per_team[self] = executed;
@@ -575,6 +435,14 @@ void TeamScheduler::RunTasks(
   }
   for (auto& d : drivers) d.join();
   stats.makespan_seconds = makespan_timer.ElapsedSeconds();
+  {
+    MutexLock lock(state.mu);
+    // A cyclic graph or inconsistent counts/edges would have deadlocked
+    // the drivers above; an unreleased task here means the caller passed
+    // counts larger than the edges actually delivered.
+    ATMX_CHECK_EQ(state.completed, num_tasks);
+    ATMX_CHECK(state.parked.empty());
+  }
 
 #if defined(ATMX_OBS_ENABLED)
   if (options.work_stealing) {

@@ -70,7 +70,7 @@ class WorkerTeam {
   int pending_ ATMX_GUARDED_BY(mutex_) = 0;
 };
 
-// Scheduling policy of one TeamScheduler::RunTasks batch.
+// Scheduling policy of one TeamScheduler batch.
 struct ScheduleOptions {
   // When true, an idle team steals tasks from the tail of the NUMA-nearest
   // non-empty victim queue instead of going idle. When false the scheduler
@@ -81,21 +81,21 @@ struct ScheduleOptions {
   // magnitudes matter). When set and work_stealing is on, each home queue
   // is drained longest-processing-time-first, so the expensive head stays
   // home-local and thieves take the cheap cold tail. Evaluated once per
-  // task before execution starts.
+  // initially-ready task before execution starts (released successors
+  // jump the queue instead).
   std::function<double(index_t)> cost_of;
-  // Optional admission gate, honored by RunTaskGraph only: a
-  // dependency-ready task is offered to `admit` before it runs (outside
-  // any scheduler lock). Returning false parks the task; it is offered
-  // again after the next task completion (at most one retry per parked
-  // task per completion). When every queue is empty, nothing is in
-  // flight, and parked tasks remain, the oldest parked task is admitted
-  // with force=true — the callback must accept it (backpressure may never
-  // deadlock the graph; callers over budget count these forced
-  // admissions instead of refusing).
+  // Optional admission gate: a dependency-ready task is offered to
+  // `admit` before it runs (outside any scheduler lock). Returning false
+  // parks the task; it is offered again after the next task completion
+  // (at most one retry per parked task per completion). When every queue
+  // is empty, nothing is in flight, and parked tasks remain, the oldest
+  // parked task is admitted with force=true — the callback must accept it
+  // (backpressure may never deadlock the graph; callers over budget count
+  // these forced admissions instead of refusing).
   std::function<bool(index_t task, bool force)> admit;
 };
 
-// Per-batch outcome of TeamScheduler::RunTasks, sized by num_teams().
+// Per-batch outcome of one TeamScheduler batch, sized by num_teams().
 struct ScheduleStats {
   std::vector<index_t> executed_per_team;  // tasks run by each team
   std::vector<index_t> stolen_per_team;    // subset executed off-home
@@ -135,44 +135,42 @@ class TeamScheduler {
   int num_teams() const { return static_cast<int>(teams_.size()); }
   WorkerTeam& team(int t) { return *teams_[t]; }
 
-  // Executes tasks 0..num_tasks-1. `home_of(task)` assigns each task to a
-  // team queue; `run(team, task)` performs the work on the *executing*
-  // team (== home team unless stolen) and may use `team.ParallelFor` for
-  // intra-task parallelism. Blocks until all tasks finish.
-  void RunTasks(index_t num_tasks,
-                const std::function<int(index_t)>& home_of,
-                const std::function<void(WorkerTeam&, index_t)>& run);
-
-  // Same, with an explicit scheduling policy; fills `stats` when non-null.
-  void RunTasks(index_t num_tasks,
-                const std::function<int(index_t)>& home_of,
-                const std::function<void(WorkerTeam&, index_t)>& run,
-                const ScheduleOptions& options, ScheduleStats* stats);
-
-  // Dependency-aware batch: tasks form a DAG instead of an independent
-  // set. `dep_count[t]` is the number of predecessors of task t;
-  // `successors[t]` lists the tasks unblocked when t completes (each
-  // successor's count drops by one per listed edge). A task is released to
-  // its home queue the moment its count reaches zero — there is no global
-  // barrier between "phases", which is what lets a fused chain start a
-  // downstream product's tile while sibling tiles of the upstream product
-  // are still running. Newly released tasks are pushed to the *front* of
-  // their home queue so consumers run while their producer's output is
-  // still cache-hot; the initially-ready set keeps submission order (LPT
-  // when `options.cost_of` is set). Stealing takes from the back, as in
-  // RunTasks. When `options.admit` is set, ready tasks pass the admission
-  // gate before running (see ScheduleOptions::admit); rejected tasks park
-  // until a completion frees resources, with a forced admission of the
-  // oldest parked task whenever nothing is in flight so backpressure can
-  // never deadlock the batch. The graph must be acyclic with consistent
-  // counts/edges or the call deadlocks its drivers; both are checked on
-  // completion.
+  // Runs a task DAG: `dep_count[t]` is the number of predecessors of task
+  // t; `successors[t]` lists the tasks unblocked when t completes (each
+  // successor's count drops by one per listed edge). `home_of(task)`
+  // assigns each task to a team queue; `run(team, task)` performs the work
+  // on the *executing* team (== home team unless stolen) and may use
+  // `team.ParallelFor` for intra-task parallelism. Blocks until all tasks
+  // finish; fills `stats` when non-null.
+  //
+  // A task is released to its home queue the moment its count reaches
+  // zero — there is no global barrier between "phases", which is what lets
+  // a fused chain start a downstream product's tile while sibling tiles of
+  // the upstream product are still running. Newly released tasks are
+  // pushed to the *front* of their home queue so consumers run while their
+  // producer's output is still cache-hot; the initially-ready set keeps
+  // submission order (LPT when `options.cost_of` is set). Stealing takes
+  // from the back. When `options.admit` is set, ready tasks pass the
+  // admission gate before running (see ScheduleOptions::admit); rejected
+  // tasks park until a completion frees resources, with a forced admission
+  // of the oldest parked task whenever nothing is in flight so
+  // backpressure can never deadlock the batch. A driver retires as soon as
+  // every task is claimed and none is parked. The graph must be acyclic
+  // with consistent counts/edges or the call deadlocks its drivers; both
+  // are checked on completion.
   void RunTaskGraph(index_t num_tasks,
                     const std::vector<index_t>& dep_count,
                     const std::vector<std::vector<index_t>>& successors,
                     const std::function<int(index_t)>& home_of,
                     const std::function<void(WorkerTeam&, index_t)>& run,
                     const ScheduleOptions& options, ScheduleStats* stats);
+
+  // Independent batch of tasks 0..num_tasks-1: RunTaskGraph with no edges.
+  void RunTasks(index_t num_tasks,
+                const std::function<int(index_t)>& home_of,
+                const std::function<void(WorkerTeam&, index_t)>& run,
+                const ScheduleOptions& options = ScheduleOptions(),
+                ScheduleStats* stats = nullptr);
 
  private:
   std::vector<std::unique_ptr<WorkerTeam>> teams_;

@@ -9,6 +9,7 @@
 
 #include "gen/rmat.h"
 #include "gen/synthetic.h"
+#include "kernels/kernel_dispatch.h"
 #include "kernels/sparse_kernels.h"
 #include "storage/convert.h"
 #include "tests/test_util.h"
@@ -236,6 +237,53 @@ TEST(AtMultStatsTest, ConversionsHappenForSparseTimesFullDense) {
   EXPECT_GT(stats.sparse_to_dense_conversions, 0);
   CsrMatrix expected = SpGemmCsr(CooToCsr(a), CooToCsr(b));
   ExpectDenseNear(CsrToDense(expected), CsrToDense(c.ToCsr()), 1e-9);
+}
+
+// Each operand converts through its own JIT conversion cache: multiplying
+// a matrix by itself must make exactly the decisions of multiplying it by
+// a copy — a tile converted for the left operand is not "cached" for the
+// right one. One team keeps the decision sequence deterministic.
+TEST(AtMultStatsTest, OperandSidesNeverShareConversions) {
+  AtmConfig config = TestConfig();
+  config.num_sockets = 1;
+  config.llc_bytes = 16 * 1024;
+  // Dense diagonal blocks next to tiles just below the read threshold: the
+  // sparse tiles meet dense partners and the optimizer converts them.
+  const CooMatrix blocks =
+      GenerateDiagonalDenseBlocks(96, 3, 32, 0.22, 100, 17);
+  CooMatrix coo(96, 96);
+  for (const CooEntry& e : blocks.entries()) {
+    if (e.row >= 32 || e.col < 64) coo.Add(e.row, e.col, e.value);
+  }
+  // ...plus one full block off the diagonal.
+  for (index_t r = 0; r < 32; ++r) {
+    for (index_t c = 64; c < 96; ++c) {
+      coo.Add(r, c, 1.0 + 0.01 * static_cast<double>(r + c));
+    }
+  }
+  ATMatrix a = PartitionToAtm(coo, config);
+  ATMatrix copy_of_a = PartitionToAtm(coo, config);
+  CostParams params;
+  params.c_sdd_panel = params.c_sdd;
+  AtMult op(config, CostModel(params));
+
+  AtMultStats self_stats;
+  AtMultStats copy_stats;
+  const ATMatrix self = op.Multiply(a, a, &self_stats);
+  const ATMatrix copy = op.Multiply(a, copy_of_a, &copy_stats);
+  ASSERT_GT(self_stats.sparse_to_dense_conversions +
+                self_stats.dense_to_sparse_conversions,
+            0);
+  EXPECT_EQ(self_stats.sparse_to_dense_conversions,
+            copy_stats.sparse_to_dense_conversions);
+  EXPECT_EQ(self_stats.dense_to_sparse_conversions,
+            copy_stats.dense_to_sparse_conversions);
+  for (int v = 0; v < kNumKernelTypes; ++v) {
+    EXPECT_EQ(self_stats.kernel_invocations[v],
+              copy_stats.kernel_invocations[v])
+        << KernelTypeName(static_cast<KernelType>(v));
+  }
+  ExpectDenseNear(CsrToDense(self.ToCsr()), CsrToDense(copy.ToCsr()), 0.0);
 }
 
 TEST(AtMultTest, ChainedMultiplication) {

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "gen/synthetic.h"
+#include "kernels/kernel_dispatch.h"
 #include "kernels/sparse_kernels.h"
 #include "obs/obs.h"
 #include "ops/chain_exec.h"
@@ -146,11 +147,11 @@ TEST(ChainExecuteTest, MatchesReferenceForAnyPlan) {
       {&a.density_map(), &b.density_map(), &c.density_map()}, CostModel(),
       config.rho_write);
   AtMult op(config);
-  AtMultStats stats;
+  ChainExecStats stats;
   ATMatrix result = ExecuteChain({&a, &b, &c}, plan, op, &stats);
   EXPECT_EQ(result.rows(), 40);
   EXPECT_EQ(result.cols(), 48);
-  EXPECT_GT(stats.pair_multiplications, 0);
+  EXPECT_GT(stats.total.pair_multiplications, 0);
 
   DenseMatrix expected = ReferenceMultiply(
       ReferenceMultiply(CooToDense(a_coo), CooToDense(b_coo)),
@@ -610,6 +611,73 @@ TEST(ChainExecuteTest, FusedBudgetBoundsTrackedHighWater) {
   // sparse estimates carry ~25% slack.
   EXPECT_LE(high_water, budget + budget / 4 + operand_bytes);
   EXPECT_GT(high_water, 0u);
+}
+
+// Every product of a fused chain is one ATMULT operation for the registry:
+// the fused run must advance atmult.pairs and the per-variant kernel
+// counters by exactly its own pair count — the same deltas the
+// product-at-a-time run publishes.
+TEST(ChainExecuteTest, FusedChainPublishesAtmultCounters) {
+  struct Deltas {
+    std::uint64_t operations = 0;
+    std::uint64_t pairs = 0;
+    std::uint64_t kernels = 0;
+  };
+  auto read = [] {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    Deltas d;
+    d.operations = registry.GetCounter("atmult.operations").Value();
+    d.pairs = registry.GetCounter("atmult.pairs").Value();
+    for (int v = 0; v < kNumKernelTypes; ++v) {
+      d.kernels +=
+          registry.GetCounter(KernelMetricName(static_cast<KernelType>(v)))
+              .Value();
+    }
+    return d;
+  };
+
+  std::vector<CooMatrix> coos;
+  coos.push_back(RandomCoo(64, 48, 700, 70));
+  coos.push_back(RandomCoo(48, 64, 800, 71));
+  coos.push_back(RandomCoo(64, 40, 600, 72));
+  coos.push_back(RandomCoo(40, 56, 500, 73));
+  AtmConfig config = ChainConfig();
+  std::vector<ATMatrix> atms;
+  for (const CooMatrix& coo : coos) atms.push_back(PartitionToAtm(coo, config));
+  std::vector<const ATMatrix*> chain;
+  std::vector<const DensityMap*> maps;
+  for (const ATMatrix& atm : atms) {
+    chain.push_back(&atm);
+    maps.push_back(&atm.density_map());
+  }
+  ChainPlan plan = PlanChain(maps, CostModel(), config.rho_write);
+
+  Deltas fused;
+  Deltas unfused;
+  ChainExecStats fused_stats;
+  ChainExecStats unfused_stats;
+  for (const bool fuse : {true, false}) {
+    config.fused_chains = fuse;
+    const Deltas before = read();
+    ExecuteChain(chain, plan, AtMult(config),
+                 fuse ? &fused_stats : &unfused_stats);
+    const Deltas after = read();
+    Deltas& d = fuse ? fused : unfused;
+    d.operations = after.operations - before.operations;
+    d.pairs = after.pairs - before.pairs;
+    d.kernels = after.kernels - before.kernels;
+  }
+  ASSERT_TRUE(fused_stats.fused);
+  ASSERT_FALSE(unfused_stats.fused);
+  const auto pairs =
+      static_cast<std::uint64_t>(fused_stats.total.pair_multiplications);
+  ASSERT_GT(pairs, 0u);
+  EXPECT_EQ(fused.pairs, pairs);
+  EXPECT_EQ(fused.kernels, pairs);
+  EXPECT_EQ(fused.operations, fused_stats.per_product.size());
+  EXPECT_EQ(fused.pairs, unfused.pairs);
+  EXPECT_EQ(fused.kernels, unfused.kernels);
+  EXPECT_EQ(fused.operations, unfused.operations);
 }
 #endif  // ATMX_OBS_ENABLED
 

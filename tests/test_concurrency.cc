@@ -62,11 +62,7 @@ TEST(ConcurrencyTest, ConversionCacheUnderContention) {
   std::vector<std::thread> threads;
   std::vector<const DenseMatrix*> results(kThreads, nullptr);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      double seconds = 0.0;
-      results[t] =
-          &cache.GetDense(ConversionCache::kLeft, 5, tile, &seconds);
-    });
+    threads.emplace_back([&, t] { results[t] = &cache.GetDense(5, tile); });
   }
   for (auto& t : threads) t.join();
   // Exactly one conversion; everyone sees the same payload.

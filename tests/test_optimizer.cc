@@ -99,16 +99,14 @@ TEST(ConversionCacheTest, ConvertsOnceAndReuses) {
   CooMatrix coo = atmx::testing::RandomCoo(16, 16, 50, 1);
   Tile tile = Tile::MakeSparse(0, 0, CooToCsr(coo));
   ConversionCache cache;
-  double seconds = 0.0;
-  const DenseMatrix& first =
-      cache.GetDense(ConversionCache::kLeft, 3, tile, &seconds);
-  const DenseMatrix& second =
-      cache.GetDense(ConversionCache::kLeft, 3, tile, &seconds);
+  ConversionCache other_operand;
+  const DenseMatrix& first = cache.GetDense(3, tile);
+  const DenseMatrix& second = cache.GetDense(3, tile);
   EXPECT_EQ(&first, &second);
   EXPECT_EQ(cache.sparse_to_dense_count(), 1);
-  EXPECT_TRUE(cache.HasDense(ConversionCache::kLeft, 3));
-  EXPECT_FALSE(cache.HasDense(ConversionCache::kRight, 3));
-  EXPECT_FALSE(cache.HasDense(ConversionCache::kLeft, 4));
+  EXPECT_TRUE(cache.HasDense(3));
+  EXPECT_FALSE(other_operand.HasDense(3));
+  EXPECT_FALSE(cache.HasDense(4));
   // Converted payload preserves content.
   atmx::testing::ExpectDenseNear(CooToDense(coo), first);
 }
@@ -118,24 +116,24 @@ TEST(ConversionCacheTest, DenseToSparseDirection) {
   dense.At(3, 4) = 2.0;
   Tile tile = Tile::MakeDense(0, 0, std::move(dense));
   ConversionCache cache;
-  double seconds = 0.0;
-  const CsrMatrix& sparse =
-      cache.GetSparse(ConversionCache::kRight, 0, tile, &seconds);
+  const CsrMatrix& sparse = cache.GetSparse(0, tile);
   EXPECT_EQ(sparse.nnz(), 1);
   EXPECT_DOUBLE_EQ(sparse.At(3, 4), 2.0);
   EXPECT_EQ(cache.dense_to_sparse_count(), 1);
-  EXPECT_TRUE(cache.HasSparse(ConversionCache::kRight, 0));
+  EXPECT_TRUE(cache.HasSparse(0));
 }
 
 TEST(ConversionCacheTest, SidesAndIndicesAreIndependentKeys) {
+  // One cache per operand side: the same tile index on the other side is a
+  // different tile and converts separately.
   CooMatrix coo = atmx::testing::RandomCoo(8, 8, 10, 2);
   Tile tile = Tile::MakeSparse(0, 0, CooToCsr(coo));
-  ConversionCache cache;
-  double seconds = 0.0;
-  cache.GetDense(ConversionCache::kLeft, 1, tile, &seconds);
-  cache.GetDense(ConversionCache::kRight, 1, tile, &seconds);
-  cache.GetDense(ConversionCache::kLeft, 2, tile, &seconds);
-  EXPECT_EQ(cache.sparse_to_dense_count(), 3);
+  ConversionCache left;
+  ConversionCache right;
+  left.GetDense(1, tile);
+  right.GetDense(1, tile);
+  left.GetDense(2, tile);
+  EXPECT_EQ(left.sparse_to_dense_count() + right.sparse_to_dense_count(), 3);
 }
 
 TEST(ConversionCacheTest, ConversionCountersAreLockProtected) {
@@ -172,11 +170,10 @@ TEST(ConversionCacheTest, ConversionCountersAreLockProtected) {
   std::vector<std::thread> converters;
   for (int t = 0; t < kThreads; ++t) {
     converters.emplace_back([&, t] {
-      double seconds = 0.0;
       for (index_t i = 0; i < kTilesPerThread; ++i) {
         const index_t idx = t * kTilesPerThread + i;
-        cache.GetDense(ConversionCache::kLeft, idx, sparse_tile, &seconds);
-        cache.GetSparse(ConversionCache::kRight, idx, dense_tile, &seconds);
+        cache.GetDense(idx, sparse_tile);
+        cache.GetSparse(idx, dense_tile);
       }
     });
   }
