@@ -84,7 +84,7 @@ void EnableTracingTo(const std::string& path) {
   static bool registered = false;
   *TraceOutPath() = path;
   obs::TraceRecorder::Global().Enable();
-  obs::DecisionLog::Global().SetEnabled(true);
+  obs::AuditLedger::Global().SetEnabled(true);
   if (!registered) {
     registered = true;
     std::atexit(FlushTraceAtExit);

@@ -10,8 +10,8 @@
 //   ATMX_THREADS  threads per team                   (default 1)
 //   ATMX_CALIBRATE set to 1 to micro-calibrate the cost model first
 //   ATMX_TRACE_OUT  path; when set (and the library is built with
-//                   ATMX_OBS=ON) the bench records a Chrome trace +
-//                   decision audit and writes the JSON there at exit
+//                   ATMX_OBS=ON) the bench records a Chrome trace and
+//                   the audit ledger, and writes the trace there at exit
 //   ATMX_BENCH_OUT  path; when set the bench writes a machine-readable
 //                   BENCH JSON report there at exit (works in any build;
 //                   hardware-counter fields appear only under ATMX_OBS=ON)
@@ -29,7 +29,7 @@
 //   ATMX_AUDIT_OUT  path; when set (and ATMX_OBS=ON) the bench records
 //                   the prediction-vs-outcome audit ledger and writes the
 //                   schema-versioned JSON there at exit (replayed by
-//                   `atmx audit` / tools/audit_report.py)
+//                   `atmx audit`)
 
 #ifndef ATMX_BENCH_BENCH_COMMON_H_
 #define ATMX_BENCH_BENCH_COMMON_H_
@@ -90,7 +90,7 @@ std::string FmtSpeedup(const BaselineResult& baseline, double atmult_seconds);
 std::string FmtRel(const BaselineResult& baseline,
                    const BaselineResult& reference);
 
-// Arms the trace recorder + decision log and registers an atexit hook
+// Arms the trace recorder + audit ledger and registers an atexit hook
 // that writes the Chrome trace JSON to `path`. With a library built under
 // ATMX_OBS=OFF this prints a warning and does nothing. Idempotent; the
 // last path wins.

@@ -23,8 +23,7 @@ namespace {
 
 // Shortest-round-trip double formatting: the counterfactual replay must
 // see exactly the values the recording process decided with, so ledger
-// doubles are written with full precision (unlike the %.6g decision-log
-// renderings, which are display-only).
+// doubles are written with full precision.
 std::string FmtD(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -77,6 +76,18 @@ bool DecodeKernel(int kernel, bool* a_dense, bool* b_dense, bool* c_dense) {
 }
 
 }  // namespace
+
+bool ReprAuditRecord::a_converted() const {
+  bool a_dense = false, b_dense = false, c = false;
+  return DecodeKernel(kernel, &a_dense, &b_dense, &c) &&
+         a_dense != a_stored_dense && !a_cached;
+}
+
+bool ReprAuditRecord::b_converted() const {
+  bool a_dense = false, b_dense = false, c = false;
+  return DecodeKernel(kernel, &a_dense, &b_dense, &c) &&
+         b_dense != b_stored_dense && !b_cached;
+}
 
 double SymmetricRelError(double predicted, double actual) {
   if (predicted == actual) return 0.0;
@@ -155,7 +166,7 @@ void AuditLedger::RecordSpaMode(const SpaModeAuditRecord& r) {
 void AuditLedger::RecordRepr(const ReprAuditRecord& r) {
   static Histogram& hist = MetricsRegistry::Global().GetHistogram(
       "estimator.err.repr", ErrBounds());
-  if (r.rho_c_actual >= 0.0) {
+  if (r.rho_c_pred >= 0.0 && r.rho_c_actual >= 0.0) {
     hist.Observe(SymmetricRelError(r.rho_c_pred, r.rho_c_actual));
   }
   MutexLock lock(mutex_);
@@ -179,6 +190,13 @@ AuditLedgerDoc AuditLedger::Snapshot() const {
   AuditLedgerDoc copy = doc_;
   copy.git_sha = GitShaFromEnv();
   return copy;
+}
+
+std::deque<ReprAuditRecord> AuditLedger::NewestRepr(std::size_t max) const {
+  MutexLock lock(mutex_);
+  const std::size_t n = std::min(max, doc_.repr.size());
+  return std::deque<ReprAuditRecord>(
+      doc_.repr.end() - static_cast<std::ptrdiff_t>(n), doc_.repr.end());
 }
 
 void AuditLedger::Clear() {
@@ -292,25 +310,34 @@ void RenderRepr(std::ostringstream& os, const ReprAuditRecord& r) {
 }
 
 void RenderChain(std::ostringstream& os, const ChainAuditRecord& r) {
-  os << "{\"op\":" << FmtU64(r.op)
+  os << "{\"op\":" << FmtU64(r.op) << ",\"plan\":\"" << EscapeJson(r.plan)
+     << "\",\"length\":" << r.length
      << ",\"planned_cost\":" << FmtD(r.planned_cost)
      << ",\"alternative_cost\":" << FmtD(r.alternative_cost)
      << ",\"fused\":" << (r.fused ? "true" : "false")
+     << ",\"fallback_reason\":\"" << EscapeJson(r.fallback_reason)
+     << "\",\"fused_tasks\":" << r.fused_tasks
      << ",\"seconds\":" << FmtD(r.measured_seconds)
      << ",\"budget_bytes\":" << FmtU64(r.budget_bytes)
+     << ",\"projected_peak_bytes\":" << FmtU64(r.projected_peak_bytes)
      << ",\"resident_peak_bytes\":" << FmtU64(r.resident_peak_bytes)
      << ",\"rho_w\":[";
   for (std::size_t i = 0; i < r.rho_w.size(); ++i) {
     if (i > 0) os << ',';
     os << FmtD(r.rho_w[i]);
   }
+  os << "],\"products\":[";
+  for (std::size_t i = 0; i < r.products.size(); ++i) {
+    if (i > 0) os << ',';
+    os << '"' << EscapeJson(r.products[i]) << '"';
+  }
   os << "]}";
 }
 
 template <typename Record, typename Renderer>
-void RenderArray(std::ostringstream& os, const char* name,
-                 const std::vector<Record>& records, Renderer render) {
-  os << ",\"" << name << "\":[";
+void RenderArray(std::ostringstream& os, const std::deque<Record>& records,
+                 Renderer render) {
+  os << '[';
   for (std::size_t i = 0; i < records.size(); ++i) {
     if (i > 0) os << ",\n";
     render(os, records[i]);
@@ -343,13 +370,25 @@ std::string RenderAuditLedgerJson(const AuditLedgerDoc& doc) {
        << ",\"convert_dense_to_sparse\":" << FmtD(p.convert_dense_to_sparse)
        << '}';
   }
-  RenderArray(os, "density", doc.density, RenderDensity);
-  RenderArray(os, "cost", doc.cost, RenderCost);
-  RenderArray(os, "waterlevel", doc.waterlevel, RenderWaterLevel);
-  RenderArray(os, "spa_mode", doc.spa_mode, RenderSpaMode);
-  RenderArray(os, "repr", doc.repr, RenderRepr);
-  RenderArray(os, "chain", doc.chain, RenderChain);
+  os << ",\"density\":";
+  RenderArray(os, doc.density, RenderDensity);
+  os << ",\"cost\":";
+  RenderArray(os, doc.cost, RenderCost);
+  os << ",\"waterlevel\":";
+  RenderArray(os, doc.waterlevel, RenderWaterLevel);
+  os << ",\"spa_mode\":";
+  RenderArray(os, doc.spa_mode, RenderSpaMode);
+  os << ",\"repr\":";
+  RenderArray(os, doc.repr, RenderRepr);
+  os << ",\"chain\":";
+  RenderArray(os, doc.chain, RenderChain);
   os << '}';
+  return os.str();
+}
+
+std::string RenderReprRecordsJson(const std::deque<ReprAuditRecord>& records) {
+  std::ostringstream os;
+  RenderArray(os, records, RenderRepr);
   return os.str();
 }
 
@@ -500,16 +539,27 @@ Result<AuditLedgerDoc> ParseAuditLedgerJson(std::string_view text) {
     for (const JsonValue& v : arr->array) {
       ChainAuditRecord r;
       r.op = U64Field(v, "op");
+      r.plan = v.StringOr("plan", "");
+      r.length = IndexField(v, "length");
       r.planned_cost = v.NumberOr("planned_cost", 0.0);
       r.alternative_cost = v.NumberOr("alternative_cost", 0.0);
       r.fused = v.BoolOr("fused", false);
+      r.fallback_reason = v.StringOr("fallback_reason", "");
+      r.fused_tasks = IndexField(v, "fused_tasks");
       r.measured_seconds = v.NumberOr("seconds", 0.0);
       r.budget_bytes = U64Field(v, "budget_bytes");
+      r.projected_peak_bytes = U64Field(v, "projected_peak_bytes");
       r.resident_peak_bytes = U64Field(v, "resident_peak_bytes");
       if (const JsonValue* rw = v.Find("rho_w");
           rw != nullptr && rw->is_array()) {
         for (const JsonValue& t : rw->array) {
           r.rho_w.push_back(t.is_number() ? t.number_value : 0.0);
+        }
+      }
+      if (const JsonValue* ps = v.Find("products");
+          ps != nullptr && ps->is_array()) {
+        for (const JsonValue& t : ps->array) {
+          r.products.push_back(t.is_string() ? t.string_value : "");
         }
       }
       doc.chain.push_back(r);
@@ -640,7 +690,11 @@ AuditReport BuildAuditReport(const AuditLedgerDoc& doc, std::size_t worst_n) {
     const CostModel model(doc.cost_params);
     std::vector<double> errs;
     for (const ReprAuditRecord& r : doc.repr) {
-      if (r.rho_c_actual < 0.0) continue;
+      // Only decisions the optimizer made from an estimate, with
+      // conversions allowed, have a counterfactual to replay.
+      if (r.rho_c_pred < 0.0 || r.rho_c_actual < 0.0 || !r.allow_conversion) {
+        continue;
+      }
       bool la = false, lb = false, lc = false;
       if (!DecodeKernel(r.kernel, &la, &lb, &lc)) continue;
       ++rep.repr_considered;
@@ -670,10 +724,10 @@ AuditReport BuildAuditReport(const AuditLedgerDoc& doc, std::size_t worst_n) {
         // inputs against the counterfactual optimum.
         double logged_cost =
             model.ComputeCost(MakeKernelType(la, lb, c_dense_cf), shape_cf);
-        if (la != r.a_stored_dense && !r.a_cached) {
+        if (r.a_converted()) {
           logged_cost += model.ConversionCost(la, r.m, r.k, r.rho_a);
         }
-        if (lb != r.b_stored_dense && !r.b_cached) {
+        if (r.b_converted()) {
           logged_cost += model.ConversionCost(lb, r.k, r.n, r.rho_b);
         }
         rep.repr_regret_cost +=
@@ -931,6 +985,7 @@ void InjectDensityMisestimate(AuditLedgerDoc* doc, double scale) {
     r.predicted = PushAway(r.predicted, r.actual, scale, 1.0);
   }
   for (ReprAuditRecord& r : doc->repr) {
+    if (r.rho_c_pred < 0.0) continue;  // no estimate to worsen
     const double actual = r.rho_c_actual >= 0.0 ? r.rho_c_actual : 0.0;
     r.rho_c_pred = PushAway(r.rho_c_pred, actual, scale, 1.0);
   }

@@ -1,23 +1,26 @@
-// Prediction-vs-outcome audit ledger: joins every cost-model-driven
-// decision with its measured outcome so estimator calibration is a
-// measured quantity, not a belief. Six decision classes are tracked:
+// Prediction-vs-outcome audit ledger: the one decision stream of the
+// library. It joins every cost-model-driven decision with its measured
+// outcome, so estimator calibration is a measured quantity, not a belief.
+// Six decision classes are tracked:
 //
 //   density    predicted vs actual result density per atomic block
 //   cost       predicted task cost (model units) vs measured wall time
 //   waterlevel projected result bytes vs materialized result bytes
 //   spa_mode   predicted vs realized rows-nnz feeding SPA ChooseMode
 //   repr       per-pair representation decisions with full replay inputs
-//   chain      chain plan cost vs measured execution time
+//   chain      chain plan, fusion outcome and cost vs measured time
 //
 // Each record observes a bounded symmetric relative error into an
-// `estimator.err.<class>` histogram (OpenMetrics `/metrics`, flight
-// recorder tail) and is retained for the schema-versioned JSON ledger
-// file (`--audit-out` / `ATMX_AUDIT_OUT`). `atmx audit` and
-// tools/audit_report.py replay a ledger offline: error distributions
-// (p50/p95/max), worst-N mispredictions, and a counterfactual pass that
-// re-runs the cost model with *measured* inputs to count "regret"
-// decisions — choices that would flip with perfect estimates. See
-// docs/OBSERVABILITY.md ("Prediction audit").
+// `estimator.err.<class>` histogram (OpenMetrics `/metrics`) and is
+// retained for the schema-versioned JSON ledger (`/decisions`,
+// `--audit-out` / `ATMX_AUDIT_OUT`, `atmx decisions --json`). The decision
+// tables of `atmx trace` / `atmx decisions` (ops/explain.h) and the
+// flight-recorder tail render from the same records. `atmx audit` replays
+// a ledger offline: error distributions (p50/p95/max), worst-N
+// mispredictions, and a counterfactual pass that re-runs the production
+// cost model with *measured* inputs to count "regret" decisions — choices
+// that would flip with perfect estimates. See docs/OBSERVABILITY.md
+// ("Prediction audit").
 //
 // Locking discipline: record paths take the ledger mutex only to append;
 // serialization snapshots under the mutex and performs all file I/O
@@ -28,6 +31,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,8 +54,8 @@ inline constexpr int kAuditLedgerSchemaVersion = 1;
 double SymmetricRelError(double predicted, double actual);
 
 // Nearest-rank percentile over an unsorted sample (q in [0, 1]); 0 for
-// an empty sample. tools/audit_report.py mirrors this definition
-// exactly: rank = max(0, ceil(q * count) - 1) over the sorted sample.
+// an empty sample: rank = max(0, ceil(q * count) - 1) over the sorted
+// sample.
 double Percentile(std::vector<double> values, double q);
 
 // ---- Ledger records, one struct per decision class ----
@@ -97,52 +101,72 @@ struct SpaModeAuditRecord {
 // One per-pair representation decision, carrying every input
 // DecidePairRepresentations consumed so the counterfactual pass can
 // re-run it bit-for-bit with rho_c_actual in place of rho_c_pred.
+// Recorded for every prepared pair, including runs without a density
+// estimate or without dynamic conversion; the counterfactual pass
+// replays only records that have both.
 struct ReprAuditRecord {
   std::uint64_t op = 0;
   index_t ti = 0, tj = 0;    // C tile coordinates
   index_t k0 = 0, k1 = 0;    // contraction window of this pair
   index_t m = 0, k = 0, n = 0;
   double rho_a = 0.0, rho_b = 0.0;  // exact operand window densities
-  double rho_c_pred = 0.0;   // estimated result-region density
+  double rho_c_pred = 0.0;   // estimated result-region density; < 0 = none
   double rho_c_actual = 0.0; // measured result-tile density
   double rho_w = 0.0;
   bool a_stored_dense = false, b_stored_dense = false;
   bool a_cached = false, b_cached = false;  // JIT conversion cache hits
-  bool allow_conversion = false;
+  bool allow_conversion = false;  // dynamic conversion was on
   bool c_dense = false;      // chosen C representation
   int kernel = 0;            // chosen KernelType
   double stored_cost = 0.0, chosen_cost = 0.0;
+
+  // A fresh JIT conversion of the operand: the chosen representation
+  // differs from the stored one and no cached conversion served it.
+  bool a_converted() const;
+  bool b_converted() const;
 };
 
+// One executed chain multiplication: the planner's choice and the
+// realized execution shape.
 struct ChainAuditRecord {
   std::uint64_t op = 0;
+  std::string plan;                // parenthesization, e.g. "((A0*A1)*A2)"
+  index_t length = 0;              // matrices in the chain
   double planned_cost = 0.0;       // chosen parenthesization, model units
   double alternative_cost = 0.0;   // left-to-right baseline
   bool fused = false;
+  // Why fusion was declined ("" when fused): "disabled", "short_chain",
+  // "no_estimation", or "budget_infeasible".
+  std::string fallback_reason;
+  index_t fused_tasks = 0;         // tile tasks in the fused DAG (0 unfused)
   double measured_seconds = 0.0;
-  // Chain-scope memory budget (0 = unbounded) and the measured resident
-  // peak the execution reached under it.
+  // Chain-scope memory budget (0 = unbounded), the water level's projected
+  // resident peak and the measured resident peak the execution reached.
   std::uint64_t budget_bytes = 0;
+  std::uint64_t projected_peak_bytes = 0;
   std::uint64_t resident_peak_bytes = 0;
   // Effective write threshold per product (post-order; joins against the
   // waterlevel class per product via `atmx audit`).
   std::vector<double> rho_w;
+  // One line per product in the same order, e.g.
+  // "pairs=12 kernels=34 ... multiply=0.01s".
+  std::vector<std::string> products;
 };
 
 // Everything one ledger holds: the in-memory snapshot and the parsed
-// form of a ledger file are the same type.
+// form of a ledger file are the same type. Records are oldest first.
 struct AuditLedgerDoc {
   int schema_version = kAuditLedgerSchemaVersion;
   std::string git_sha;
   CostParams cost_params;
   bool have_cost_params = false;
-  std::uint64_t dropped = 0;  // records lost to the per-class cap
-  std::vector<DensityAuditRecord> density;
-  std::vector<CostAuditRecord> cost;
-  std::vector<WaterLevelAuditRecord> waterlevel;
-  std::vector<SpaModeAuditRecord> spa_mode;
-  std::vector<ReprAuditRecord> repr;
-  std::vector<ChainAuditRecord> chain;
+  std::uint64_t dropped = 0;  // oldest records evicted by the per-class cap
+  std::deque<DensityAuditRecord> density;
+  std::deque<CostAuditRecord> cost;
+  std::deque<WaterLevelAuditRecord> waterlevel;
+  std::deque<SpaModeAuditRecord> spa_mode;
+  std::deque<ReprAuditRecord> repr;
+  std::deque<ChainAuditRecord> chain;
 
   bool empty() const {
     return density.empty() && cost.empty() && waterlevel.empty() &&
@@ -151,10 +175,12 @@ struct AuditLedgerDoc {
 };
 
 std::string RenderAuditLedgerJson(const AuditLedgerDoc& doc);
+// The ledger's `repr` array alone (the flight recorder's decision tail).
+std::string RenderReprRecordsJson(const std::deque<ReprAuditRecord>& records);
 [[nodiscard]] Result<AuditLedgerDoc> ParseAuditLedgerJson(std::string_view text);
 [[nodiscard]] Result<AuditLedgerDoc> LoadAuditLedger(const std::string& path);
 
-// ---- Offline report (the `atmx audit` / audit_report.py contract) ----
+// ---- Offline report (the `atmx audit` replay) ----
 
 struct AuditErrorStats {
   std::size_t count = 0;
@@ -237,12 +263,17 @@ class AuditLedger {
  public:
   static AuditLedger& Global();
 
-  // Recording is off by default; bench_common arms it for --audit-out /
-  // ATMX_AUDIT_OUT runs and tests flip it directly.
+  // Recording is off by default. Record* append unconditionally; the
+  // instrumented operators check enabled() before building a record.
   void SetEnabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+
+  // Fresh id grouping the records of one operation.
+  std::uint64_t NextOpId() {
+    return next_op_id_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   // Stamps the cost parameters the recording operation decided with
   // (required for counterfactual replay; last writer wins).
@@ -256,6 +287,9 @@ class AuditLedger {
   void RecordChain(const ChainAuditRecord& r);
 
   AuditLedgerDoc Snapshot() const;
+  // The newest `max` repr records, oldest first, copied without
+  // snapshotting the other classes.
+  std::deque<ReprAuditRecord> NewestRepr(std::size_t max) const;
   void Clear();
 
   std::string ToJson() const;
@@ -268,24 +302,26 @@ class AuditLedger {
   bool armed() const;
   [[nodiscard]] Status FlushArmed() const;
 
+  // Per-class retention cap: beyond it the oldest record of the class is
+  // evicted and counted as dropped, so the ledger always holds the latest
+  // decisions (the error histograms still see every observation).
+  static constexpr std::size_t kMaxRecordsPerClass = 1u << 16;
+
  private:
   AuditLedger() = default;
 
-  // Per-class retention cap: beyond it records are counted as dropped,
-  // not stored (the error histograms still see every observation).
-  static constexpr std::size_t kMaxRecordsPerClass = 1u << 16;
-
   template <typename Record>
-  void Append(std::vector<Record>& dst, const Record& r)
+  void Append(std::deque<Record>& dst, const Record& r)
       ATMX_REQUIRES(mutex_) {
     if (dst.size() >= kMaxRecordsPerClass) {
+      dst.pop_front();
       ++doc_.dropped;
-      return;
     }
     dst.push_back(r);
   }
 
   std::atomic<bool> enabled_{false};
+  std::atomic<std::uint64_t> next_op_id_{1};
   mutable Mutex mutex_;
   AuditLedgerDoc doc_ ATMX_GUARDED_BY(mutex_);
   // Running totals for the live cost-class histogram scale.

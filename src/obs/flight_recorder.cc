@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "obs/decision_log.h"
+#include "obs/audit_ledger.h"
 #include "obs/json_util.h"
 #include "obs/mem_tracker.h"
 #include "obs/metrics.h"
@@ -131,11 +131,6 @@ void FlightRecorder::Refresh() {
     events.erase(events.begin(),
                  events.end() - static_cast<long>(max_events));
   }
-  std::vector<DecisionRecord> decisions = DecisionLog::Global().Snapshot();
-  if (decisions.size() > max_decisions) {
-    decisions.erase(decisions.begin(),
-                    decisions.end() - static_cast<long>(max_decisions));
-  }
   std::string body;
   body.reserve(1 << 14);
   body += "\"mem_high_water_bytes\":";
@@ -143,7 +138,8 @@ void FlightRecorder::Refresh() {
   body += ",\"metrics\":";
   body += MetricsRegistry::Global().ToJson();
   body += ",\"decisions\":";
-  body += RenderDecisionRecordsJson(decisions);
+  body +=
+      RenderReprRecordsJson(AuditLedger::Global().NewestRepr(max_decisions));
   body += ",\"trace\":";
   body += RenderTraceEventsJson(events);
 

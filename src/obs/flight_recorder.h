@@ -1,5 +1,6 @@
 // Crash flight recorder: persists the observability state — bounded trace
-// tail, metrics snapshot, decision log, logical memory high-water — to
+// tail, metrics snapshot, newest audit-ledger repr decisions, logical
+// memory high-water — to
 // `atmx_flight_<pid>.json` when the process dies violently (fatal signal
 // or ATMX_CHECK failure), so a crash in a long run is debuggable instead
 // of mute.
@@ -43,10 +44,10 @@ class FlightRecorder {
     // Trace events kept in the dump (newest last). The full ring can be
     // megabytes; a crash dump wants the tail.
     std::size_t max_trace_events = 1024;
-    // Decision records kept in the dump (newest last), for the same
-    // reason: the decision ring holds 64 Ki records, and Refresh runs
-    // once per sampler tick — rendering the full ring there would make
-    // the sampler the most expensive thread in the process.
+    // Audit-ledger repr records kept in the dump (newest last), for the
+    // same reason: the ledger holds up to 64 Ki records per class, and
+    // Refresh runs once per sampler tick — rendering all of them there
+    // would make the sampler the most expensive thread in the process.
     std::size_t max_decisions = 2048;
   };
 

@@ -47,190 +47,6 @@ std::string EscapeJson(std::string_view s) {
   return out;
 }
 
-namespace {
-
-// Cursor over the document; all Parse* functions leave `pos` just past the
-// value they consumed.
-struct JsonCursor {
-  std::string_view text;
-  std::size_t pos = 0;
-  std::string error;
-
-  bool Fail(const std::string& what) {
-    if (error.empty()) {
-      error = what + " at offset " + std::to_string(pos);
-    }
-    return false;
-  }
-
-  void SkipWs() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-
-  bool AtEnd() const { return pos >= text.size(); }
-  char Peek() const { return text[pos]; }
-
-  bool Expect(char c) {
-    if (AtEnd() || text[pos] != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    ++pos;
-    return true;
-  }
-
-  bool ParseValue(int depth);
-
-  bool ParseString() {
-    if (!Expect('"')) return false;
-    while (!AtEnd()) {
-      const char c = text[pos];
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Fail("unescaped control character in string");
-      }
-      if (c == '"') {
-        ++pos;
-        return true;
-      }
-      if (c == '\\') {
-        ++pos;
-        if (AtEnd()) return Fail("truncated escape");
-        const char e = text[pos];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos;
-            if (AtEnd() ||
-                !std::isxdigit(static_cast<unsigned char>(text[pos]))) {
-              return Fail("bad \\u escape");
-            }
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return Fail("bad escape character");
-        }
-      }
-      ++pos;
-    }
-    return Fail("unterminated string");
-  }
-
-  bool ParseNumber() {
-    if (!AtEnd() && text[pos] == '-') ++pos;
-    std::size_t digits = 0;
-    while (!AtEnd() && std::isdigit(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-      ++digits;
-    }
-    if (digits == 0) return Fail("expected digits");
-    if (!AtEnd() && text[pos] == '.') {
-      ++pos;
-      digits = 0;
-      while (!AtEnd() &&
-             std::isdigit(static_cast<unsigned char>(text[pos]))) {
-        ++pos;
-        ++digits;
-      }
-      if (digits == 0) return Fail("expected fraction digits");
-    }
-    if (!AtEnd() && (text[pos] == 'e' || text[pos] == 'E')) {
-      ++pos;
-      if (!AtEnd() && (text[pos] == '+' || text[pos] == '-')) ++pos;
-      digits = 0;
-      while (!AtEnd() &&
-             std::isdigit(static_cast<unsigned char>(text[pos]))) {
-        ++pos;
-        ++digits;
-      }
-      if (digits == 0) return Fail("expected exponent digits");
-    }
-    return true;
-  }
-
-  bool ParseLiteral(std::string_view lit) {
-    if (text.substr(pos, lit.size()) != lit) return Fail("bad literal");
-    pos += lit.size();
-    return true;
-  }
-};
-
-bool JsonCursor::ParseValue(int depth) {
-  // Traces nest spans only a few levels deep; the cap just guards against
-  // runaway recursion on adversarial input.
-  if (depth > 256) return Fail("nesting too deep");
-  SkipWs();
-  if (AtEnd()) return Fail("expected value");
-  switch (Peek()) {
-    case '{': {
-      ++pos;
-      SkipWs();
-      if (!AtEnd() && Peek() == '}') {
-        ++pos;
-        return true;
-      }
-      for (;;) {
-        SkipWs();
-        if (!ParseString()) return false;
-        SkipWs();
-        if (!Expect(':')) return false;
-        if (!ParseValue(depth + 1)) return false;
-        SkipWs();
-        if (AtEnd()) return Fail("unterminated object");
-        if (Peek() == ',') {
-          ++pos;
-          continue;
-        }
-        return Expect('}');
-      }
-    }
-    case '[': {
-      ++pos;
-      SkipWs();
-      if (!AtEnd() && Peek() == ']') {
-        ++pos;
-        return true;
-      }
-      for (;;) {
-        if (!ParseValue(depth + 1)) return false;
-        SkipWs();
-        if (AtEnd()) return Fail("unterminated array");
-        if (Peek() == ',') {
-          ++pos;
-          continue;
-        }
-        return Expect(']');
-      }
-    }
-    case '"':
-      return ParseString();
-    case 't':
-      return ParseLiteral("true");
-    case 'f':
-      return ParseLiteral("false");
-    case 'n':
-      return ParseLiteral("null");
-    default:
-      return ParseNumber();
-  }
-}
-
-}  // namespace
-
-bool JsonWellFormed(std::string_view text, std::string* error) {
-  JsonCursor cursor;
-  cursor.text = text;
-  bool ok = cursor.ParseValue(0);
-  if (ok) {
-    cursor.SkipWs();
-    if (!cursor.AtEnd()) {
-      ok = cursor.Fail("trailing content after document");
-    }
-  }
-  if (!ok && error != nullptr) *error = cursor.error;
-  return ok;
-}
-
 const JsonValue* JsonValue::Find(std::string_view key) const {
   if (kind != Kind::kObject) return nullptr;
   for (const auto& [name, value] : members) {
@@ -258,9 +74,9 @@ bool JsonValue::BoolOr(std::string_view key, bool fallback) const {
 
 namespace {
 
-// Value-building twin of JsonCursor. Kept separate so the validator stays
-// allocation-free; both accept exactly the same grammar.
-struct JsonBuilder {
+// Recursive-descent parser over one document; every Parse* function
+// leaves `pos` just past the value it consumed.
+struct JsonParser {
   std::string_view text;
   std::size_t pos = 0;
   std::string error;
@@ -437,23 +253,39 @@ struct JsonBuilder {
       case 'n':
         out->kind = JsonValue::Kind::kNull;
         return ParseLiteral("null");
-      default: {
-        // Validate the number with the strict grammar, then convert the
-        // accepted span with strtod (which accepts a superset).
-        JsonCursor check;
-        check.text = text;
-        check.pos = pos;
-        if (!check.ParseNumber()) {
-          pos = check.pos;
-          return Fail("bad number");
-        }
-        const std::string span(text.substr(pos, check.pos - pos));
+      default:
         out->kind = JsonValue::Kind::kNumber;
-        out->number_value = std::strtod(span.c_str(), nullptr);
-        pos = check.pos;
-        return true;
-      }
+        return ParseNumber(&out->number_value);
     }
+  }
+
+  // Checks the strict JSON number grammar, then converts the accepted
+  // span with strtod (which accepts a superset).
+  bool ParseNumber(double* out) {
+    const std::size_t start = pos;
+    if (!AtEnd() && text[pos] == '-') ++pos;
+    if (!Digits()) return Fail("expected digits");
+    if (!AtEnd() && text[pos] == '.') {
+      ++pos;
+      if (!Digits()) return Fail("expected fraction digits");
+    }
+    if (!AtEnd() && (text[pos] == 'e' || text[pos] == 'E')) {
+      ++pos;
+      if (!AtEnd() && (text[pos] == '+' || text[pos] == '-')) ++pos;
+      if (!Digits()) return Fail("expected exponent digits");
+    }
+    const std::string span(text.substr(start, pos - start));
+    *out = std::strtod(span.c_str(), nullptr);
+    return true;
+  }
+
+  // Consumes a run of decimal digits; false when there is none.
+  bool Digits() {
+    const std::size_t start = pos;
+    while (!AtEnd() && std::isdigit(static_cast<unsigned char>(text[pos]))) {
+      ++pos;
+    }
+    return pos > start;
   }
 
   bool ParseLiteral(std::string_view lit) {
@@ -466,18 +298,24 @@ struct JsonBuilder {
 }  // namespace
 
 Result<JsonValue> ParseJson(std::string_view text) {
-  JsonBuilder builder;
-  builder.text = text;
+  JsonParser parser;
+  parser.text = text;
   JsonValue value;
-  bool ok = builder.ParseValue(&value, 0);
+  bool ok = parser.ParseValue(&value, 0);
   if (ok) {
-    builder.SkipWs();
-    if (!builder.AtEnd()) {
-      ok = builder.Fail("trailing content after document");
+    parser.SkipWs();
+    if (!parser.AtEnd()) {
+      ok = parser.Fail("trailing content after document");
     }
   }
-  if (!ok) return Status::InvalidArgument("json: " + builder.error);
+  if (!ok) return Status::InvalidArgument("json: " + parser.error);
   return value;
+}
+
+bool JsonWellFormed(std::string_view text, std::string* error) {
+  const Result<JsonValue> parsed = ParseJson(text);
+  if (!parsed.ok() && error != nullptr) *error = parsed.status().message();
+  return parsed.ok();
 }
 
 std::string GitShaFromEnv() {

@@ -1,9 +1,9 @@
 // Minimal JSON helpers for the observability layer: string escaping for
-// the Chrome-trace / metrics serializers, a dependency-free
-// well-formedness validator used by tests and the CLI to check emitted
+// the Chrome-trace / metrics serializers, and one small dependency-free
+// recursive-descent parser, so the CLI can read back the documents this
+// layer writes (audit ledgers, baselines) and tests can check emitted
 // documents before they are handed to external viewers (Perfetto,
-// chrome://tracing), and a small value parser so the CLI can read back
-// the documents this layer writes (audit ledgers, baselines).
+// chrome://tracing).
 
 #ifndef ATMX_OBS_JSON_UTIL_H_
 #define ATMX_OBS_JSON_UTIL_H_
@@ -21,10 +21,10 @@ namespace atmx::obs {
 // surrounding quotes): backslash, quote, and control characters.
 std::string EscapeJson(std::string_view s);
 
-// Strict recursive-descent well-formedness check over one JSON document
-// (object, array, string, number, true/false/null). Returns true iff the
-// whole input is exactly one valid value; on failure `error` (if non-null)
-// describes the first problem and its byte offset.
+// Strict well-formedness check over one JSON document (object, array,
+// string, number, true/false/null): ParseJson with the value discarded.
+// Returns true iff the whole input is exactly one valid value; on failure
+// `error` (if non-null) describes the first problem and its byte offset.
 bool JsonWellFormed(std::string_view text, std::string* error = nullptr);
 
 // One parsed JSON value. Numbers are held as double (the documents this
@@ -63,8 +63,8 @@ struct JsonValue {
 
 // The git sha benchmark and audit documents are stamped with: the
 // ATMX_GIT_SHA environment variable (CI exports it), "unknown" when
-// unset. Shared by BenchReporter, DecisionLog, and AuditLedger so every
-// emitted document carries the same provenance key.
+// unset. Shared by BenchReporter and AuditLedger so every emitted
+// document carries the same provenance key.
 std::string GitShaFromEnv();
 
 }  // namespace atmx::obs

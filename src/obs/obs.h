@@ -29,7 +29,7 @@
 // cache the registry lookup in a function-local static, and the trace
 // recorder stores the name pointer.
 //
-// Heavier instrumentation (decision-audit records, per-node placement
+// Heavier instrumentation (audit-ledger records, per-node placement
 // gauges) does not fit a one-line macro; such blocks are guarded with
 // `#if defined(ATMX_OBS_ENABLED)` at the call site.
 
@@ -38,7 +38,6 @@
 
 #if defined(ATMX_OBS_ENABLED)
 
-#include "obs/decision_log.h"
 #include "obs/mem_tracker.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"

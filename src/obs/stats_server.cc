@@ -10,7 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "obs/decision_log.h"
+#include "obs/audit_ledger.h"
 #include "obs/exposition.h"
 #include "obs/trace.h"
 
@@ -100,7 +100,7 @@ std::string StatsServer::HandleRequest(const std::string& request,
   }
   if (path == "/decisions") {
     return MakeResponse("200 OK", "application/json",
-                        DecisionLog::Global().ToJson());
+                        AuditLedger::Global().ToJson());
   }
   if (path == "/healthz" || path == "/") {
     return MakeResponse("200 OK", "text/plain", "ok\n");

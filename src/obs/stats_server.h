@@ -6,7 +6,7 @@
 //   /metrics        OpenMetrics text (exposition.h)
 //   /metrics.json   flat JSON metrics (same document as ToJson)
 //   /trace          current Chrome trace_event ring
-//   /decisions      optimizer decision log (JSON array)
+//   /decisions      audit ledger document (AuditLedger::ToJson)
 //   /healthz        "ok" liveness probe
 //
 // Off by default: benches only Start() it when --stats-port= or

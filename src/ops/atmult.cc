@@ -133,9 +133,7 @@ ATMatrix MultiplyNode(const AtMult& op, ProductNodeSpec node,
                        {"nnz_a", a.nnz()}, {"nnz_b", b.nnz()});
 #if defined(ATMX_OBS_ENABLED)
   const bool ledger_enabled = obs::AuditLedger::Global().enabled();
-  if (obs::DecisionLog::Global().enabled() || ledger_enabled) {
-    node.op_id = obs::DecisionLog::Global().NextOpId();
-  }
+  if (ledger_enabled) node.op_id = obs::AuditLedger::Global().NextOpId();
 #endif
 
   // --- Density estimation + flexible write threshold (Alg. 2 l. 2-3). ---

@@ -236,9 +236,8 @@ NodeResult ExecuteSubchain(
 void RecordChainDecision(const std::vector<const ATMatrix*>& chain,
                          const ChainPlan& plan, const AtMult& op,
                          const ChainExecStats& stats, double total_seconds) {
-  obs::DecisionLog& log = obs::DecisionLog::Global();
-  const bool ledger_enabled = obs::AuditLedger::Global().enabled();
-  if (!log.enabled() && !ledger_enabled) return;
+  obs::AuditLedger& ledger = obs::AuditLedger::Global();
+  if (!ledger.enabled()) return;
   double left_to_right_cost = 0.0;
   if (chain.size() >= 2) {
     std::vector<const DensityMap*> maps;
@@ -249,39 +248,24 @@ void RecordChainDecision(const std::vector<const ATMatrix*>& chain,
     left_to_right_cost = EstimateLeftToRightCost(
         maps, op.cost_model(), op.config().rho_write, options);
   }
-  const std::uint64_t op_id = log.NextOpId();
-  if (ledger_enabled) {
-    obs::AuditLedger::Global().SetCostParams(op.cost_model().params());
-    obs::ChainAuditRecord audit;
-    audit.op = op_id;
-    audit.planned_cost = plan.estimated_cost;
-    audit.alternative_cost = left_to_right_cost;
-    audit.fused = stats.fused;
-    audit.measured_seconds = total_seconds;
-    audit.budget_bytes = stats.budget_bytes;
-    audit.resident_peak_bytes = stats.resident_peak_bytes;
-    audit.rho_w.reserve(stats.per_product.size());
-    for (const AtMultStats& p : stats.per_product) {
-      audit.rho_w.push_back(p.effective_write_threshold);
-    }
-    obs::AuditLedger::Global().RecordChain(audit);
-  }
-  if (!log.enabled()) return;
-  obs::ChainDecisionRecord rec;
-  rec.op_id = op_id;
+  ledger.SetCostParams(op.cost_model().params());
+  obs::ChainAuditRecord rec;
+  rec.op = ledger.NextOpId();
   rec.plan = plan.ToString();
   rec.length = static_cast<index_t>(chain.size());
   rec.planned_cost = plan.estimated_cost;
-  rec.left_to_right_cost = left_to_right_cost;
+  rec.alternative_cost = left_to_right_cost;
   rec.fused = stats.fused;
   rec.fallback_reason = stats.fallback_reason;
   rec.fused_tasks = stats.fused_tasks;
-  rec.resident_peak_bytes = stats.resident_peak_bytes;
+  rec.measured_seconds = total_seconds;
   rec.budget_bytes = stats.budget_bytes;
   rec.projected_peak_bytes = stats.projected_peak_bytes;
-  rec.total_seconds = total_seconds;
-  rec.product_summaries.reserve(stats.per_product.size());
+  rec.resident_peak_bytes = stats.resident_peak_bytes;
+  rec.rho_w.reserve(stats.per_product.size());
+  rec.products.reserve(stats.per_product.size());
   for (const AtMultStats& p : stats.per_product) {
+    rec.rho_w.push_back(p.effective_write_threshold);
     std::ostringstream os;
     os << "pairs=" << p.pair_multiplications
        << " kernels=" << p.TotalKernelInvocations()
@@ -290,9 +274,9 @@ void RecordChainDecision(const std::vector<const ATMatrix*>& chain,
        << " c_tiles(d/sp)=" << p.dense_result_tiles << "/"
        << p.sparse_result_tiles << " rho_w=" << p.effective_write_threshold
        << " multiply=" << p.multiply_seconds << "s";
-    rec.product_summaries.push_back(os.str());
+    rec.products.push_back(os.str());
   }
-  log.RecordChain(rec);
+  ledger.RecordChain(rec);
 }
 #endif
 

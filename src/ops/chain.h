@@ -89,7 +89,7 @@ struct ChainExecStats {
   bool fused = false;
   // Why fused execution was declined ("" when fused): "disabled",
   // "short_chain", "no_estimation", or "budget_infeasible". Recorded in
-  // the DecisionLog chain ring and shown by `atmx decisions`.
+  // the audit ledger's chain record and shown by `atmx decisions`.
   std::string fallback_reason;
   // Tile tasks in the fused DAG (0 when executed product-at-a-time).
   index_t fused_tasks = 0;
@@ -115,7 +115,7 @@ struct ChainExecStats {
 // intermediate for its resident lifetime) and imposed on BOTH executors,
 // and the fused DAG admission-gates tile tasks against it — only a
 // budget no threshold assignment can meet downgrades the chain to
-// product-at-a-time (reason "budget_infeasible" in stats/DecisionLog).
+// product-at-a-time (reason "budget_infeasible" in stats and ledger).
 // Both paths produce bitwise-identical results at every budget.
 // Intermediate-operand JIT conversions go through one shared
 // ConversionCache per distinct source matrix either way, so a matrix

@@ -253,7 +253,6 @@ ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
   const bool fused = specs.size() > 1;
 
 #if defined(ATMX_OBS_ENABLED)
-  const bool audit_enabled = obs::DecisionLog::Global().enabled();
   const bool ledger_enabled = obs::AuditLedger::Global().enabled();
   if (ledger_enabled) {
     // The counterfactual replay re-runs DecidePairRepresentations with
@@ -359,11 +358,10 @@ ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
     ctx.stats_mutex = &stats_mutex;
     node.stats.effective_write_threshold = ctx.rho_w;
 #if defined(ATMX_OBS_ENABLED)
-    ctx.audit_enabled = audit_enabled;
     ctx.ledger_enabled = ledger_enabled;
-    ctx.op_id = spec.op_id != 0 || !(audit_enabled || ledger_enabled)
+    ctx.op_id = spec.op_id != 0 || !ledger_enabled
                     ? spec.op_id
-                    : obs::DecisionLog::Global().NextOpId();
+                    : obs::AuditLedger::Global().NextOpId();
 #endif
 
     // Planning-time result map: LPT costs and admission price tasks with

@@ -67,7 +67,7 @@ struct ProductNodeSpec {
   // admission (a ChainBudgetPlan map). Null: `estimate` when set,
   // otherwise estimated from the operands' planned maps.
   const DensityMap* planned_map = nullptr;
-  // Decision-audit op id; 0 draws one per node when auditing is on.
+  // Audit-ledger op id; 0 draws one per node when the ledger is on.
   std::uint64_t op_id = 0;
 };
 
@@ -98,7 +98,7 @@ ATMatrix MultiplyNode(const AtMult& op, ProductNodeSpec node,
 // products (three matrices), and — when the result-memory budget is
 // finite — density estimation enabled, since the chain-scope water level
 // plans against estimated intermediate topologies. When declining, fills
-// `*reason` (if non-null) with the DecisionLog fallback reason
+// `*reason` (if non-null) with the audit-ledger fallback reason
 // ("short_chain", "no_estimation").
 bool CanFuseChain(const std::vector<const ATMatrix*>& chain,
                   const AtmConfig& config, std::string* reason = nullptr);

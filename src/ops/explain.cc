@@ -50,18 +50,18 @@ std::string MultiplyPlan::ToString(index_t max_pairs) const {
 }
 
 #if defined(ATMX_OBS_ENABLED)
-std::string FormatDecisionLog(const std::vector<obs::DecisionRecord>& records,
+std::string FormatDecisionLog(const std::deque<obs::ReprAuditRecord>& records,
                               index_t max_rows) {
   std::ostringstream os;
   index_t conversions = 0;
   double stored_cost = 0.0;
   double chosen_cost = 0.0;
-  for (const obs::DecisionRecord& r : records) {
-    conversions += (r.a_converted ? 1 : 0) + (r.b_converted ? 1 : 0);
+  for (const obs::ReprAuditRecord& r : records) {
+    conversions += (r.a_converted() ? 1 : 0) + (r.b_converted() ? 1 : 0);
     stored_cost += r.stored_cost;
     chosen_cost += r.chosen_cost;
   }
-  os << "DecisionLog: " << records.size() << " decisions, " << conversions
+  os << "Decisions: " << records.size() << " decisions, " << conversions
      << " JIT conversions, cost " << static_cast<long long>(chosen_cost)
      << " units (stored-representation baseline "
      << static_cast<long long>(stored_cost) << ")\n";
@@ -71,21 +71,22 @@ std::string FormatDecisionLog(const std::vector<obs::DecisionRecord>& records,
   const index_t shown =
       std::min<index_t>(max_rows, static_cast<index_t>(records.size()));
   for (index_t i = 0; i < shown; ++i) {
-    const obs::DecisionRecord& r = records[i];
+    const obs::ReprAuditRecord& r = records[i];
     std::string conv;
-    if (r.a_converted) conv += "A";
-    if (r.b_converted) conv += conv.empty() ? "B" : "+B";
+    if (r.a_converted()) conv += "A";
+    if (r.b_converted()) conv += conv.empty() ? "B" : "+B";
     if (conv.empty()) conv = "-";
-    table.AddRow({std::to_string(r.op_id),
+    table.AddRow({std::to_string(r.op),
                   "(" + std::to_string(r.ti) + "," + std::to_string(r.tj) +
                       ")",
                   "[" + std::to_string(r.k0) + "," + std::to_string(r.k1) +
                       ")",
                   TablePrinter::Fmt(r.rho_a, 4),
                   TablePrinter::Fmt(r.rho_b, 4),
-                  TablePrinter::Fmt(r.rho_c, 4),
-                  TablePrinter::Fmt(r.rho_w, 4), KernelTypeName(r.kernel),
-                  conv, TablePrinter::Fmt(r.chosen_cost, 0),
+                  r.rho_c_pred < 0.0 ? "-" : TablePrinter::Fmt(r.rho_c_pred, 4),
+                  TablePrinter::Fmt(r.rho_w, 4),
+                  KernelTypeName(static_cast<KernelType>(r.kernel)), conv,
+                  TablePrinter::Fmt(r.chosen_cost, 0),
                   TablePrinter::Fmt(r.stored_cost, 0)});
   }
   os << table.ToString();
@@ -96,7 +97,7 @@ std::string FormatDecisionLog(const std::vector<obs::DecisionRecord>& records,
 }
 
 std::string FormatChainDecisions(
-    const std::vector<obs::ChainDecisionRecord>& records, index_t max_rows) {
+    const std::deque<obs::ChainAuditRecord>& records, index_t max_rows) {
   std::ostringstream os;
   os << "ChainDecisions: " << records.size() << " chains\n";
   if (records.empty()) return os.str();
@@ -105,30 +106,30 @@ std::string FormatChainDecisions(
                       "fused", "tasks", "resident peak", "budget", "time"});
   const index_t total = static_cast<index_t>(records.size());
   const index_t shown = std::min<index_t>(max_rows, total);
-  // Newest records are the interesting ones; the snapshot is oldest-first.
+  // Newest records are the interesting ones; the ledger is oldest-first.
   for (index_t i = total - shown; i < total; ++i) {
-    const obs::ChainDecisionRecord& r = records[i];
-    table.AddRow({std::to_string(r.op_id), r.plan, std::to_string(r.length),
+    const obs::ChainAuditRecord& r = records[i];
+    table.AddRow({std::to_string(r.op), r.plan, std::to_string(r.length),
                   TablePrinter::Fmt(r.planned_cost, 0),
-                  TablePrinter::Fmt(r.left_to_right_cost, 0),
+                  TablePrinter::Fmt(r.alternative_cost, 0),
                   r.fused ? "yes" : "no(" + r.fallback_reason + ")",
                   std::to_string(r.fused_tasks),
                   TablePrinter::FmtBytes(r.resident_peak_bytes),
                   r.budget_bytes == 0 ? "-"
                                       : TablePrinter::FmtBytes(r.budget_bytes),
-                  TablePrinter::Fmt(r.total_seconds, 4) + "s"});
+                  TablePrinter::Fmt(r.measured_seconds, 4) + "s"});
   }
   os << table.ToString();
   if (shown < total) {
     os << "  ... " << (total - shown) << " older chains\n";
   }
 
-  const obs::ChainDecisionRecord& last = records.back();
-  if (!last.product_summaries.empty()) {
-    os << "  products of chain op " << last.op_id << " (" << last.plan
+  const obs::ChainAuditRecord& last = records.back();
+  if (!last.products.empty()) {
+    os << "  products of chain op " << last.op << " (" << last.plan
        << "):\n";
-    for (std::size_t i = 0; i < last.product_summaries.size(); ++i) {
-      os << "    P" << i << ": " << last.product_summaries[i] << "\n";
+    for (std::size_t i = 0; i < last.products.size(); ++i) {
+      os << "    P" << i << ": " << last.products[i] << "\n";
     }
   }
   return os.str();

@@ -8,14 +8,18 @@
 #ifndef ATMX_OPS_EXPLAIN_H_
 #define ATMX_OPS_EXPLAIN_H_
 
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "common/config.h"
 #include "cost/cost_model.h"
 #include "kernels/kernel_common.h"
-#include "obs/obs.h"
 #include "tile/at_matrix.h"
+
+#if defined(ATMX_OBS_ENABLED)
+#include "obs/audit_ledger.h"
+#endif
 
 namespace atmx {
 
@@ -58,20 +62,21 @@ MultiplyPlan ExplainMultiply(const ATMatrix& a, const ATMatrix& b,
                              const CostModel& cost_model = CostModel());
 
 #if defined(ATMX_OBS_ENABLED)
-// Renders decision-audit records (the "EXPLAIN after the fact" counterpart
-// of MultiplyPlan::ToString) as a column-aligned table, `max_rows` rows of
-// pair detail plus a summary line. Only available when the observability
-// layer is built in.
-std::string FormatDecisionLog(const std::vector<obs::DecisionRecord>& records,
+// Renders the audit ledger's repr records (the "EXPLAIN after the fact"
+// counterpart of MultiplyPlan::ToString) as a column-aligned table,
+// `max_rows` rows of pair detail after a summary line. The summary counts
+// only fresh JIT conversions (ReprAuditRecord::a_converted/b_converted),
+// so on one team it equals the operator's conversion stats. Only
+// available when the observability layer is built in.
+std::string FormatDecisionLog(const std::deque<obs::ReprAuditRecord>& records,
                               index_t max_rows = 24);
 
-// Renders chain-decision records (one per ExecuteChain call: chosen
-// parenthesization, planned vs left-to-right cost, fusion outcome,
-// resident-tile peak) as a table followed by the per-product breakdown of
-// the most recent chain. See docs/CHAINS.md.
+// Renders the ledger's chain records (one per ExecuteChain call: chosen
+// parenthesization, planned vs left-to-right cost, fusion outcome or
+// fallback reason, resident-tile peak) as a table followed by the
+// per-product breakdown of the most recent chain. See docs/CHAINS.md.
 std::string FormatChainDecisions(
-    const std::vector<obs::ChainDecisionRecord>& records,
-    index_t max_rows = 16);
+    const std::deque<obs::ChainAuditRecord>& records, index_t max_rows = 16);
 #endif
 
 }  // namespace atmx

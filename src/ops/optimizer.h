@@ -26,7 +26,7 @@ struct PairDecision {
   bool b_converted = false;
   double projected_cost = 0.0;
   // Cost of running with the stored representations (no conversions); the
-  // decision-audit log reports projected_cost against this baseline.
+  // audit ledger reports projected_cost against this baseline.
   double stored_cost = 0.0;
 };
 

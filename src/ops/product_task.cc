@@ -273,28 +273,6 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
       }
 
 #if defined(ATMX_OBS_ENABLED)
-      if (ctx.audit_enabled) {
-        obs::DecisionRecord rec;
-        rec.op_id = ctx.op_id;
-        rec.ti = ti;
-        rec.tj = tj;
-        rec.k0 = mp.k0;
-        rec.k1 = mp.k1;
-        rec.rho_a = shape.rho_a;
-        rec.rho_b = shape.rho_b;
-        rec.rho_c = rho_c;
-        rec.rho_w = ctx.rho_w;
-        rec.a_stored_dense = mp.a_tile->is_dense();
-        rec.b_stored_dense = mp.b_tile->is_dense();
-        rec.c_dense = c_dense;
-        rec.kernel =
-            MakeKernelType(decision.a_dense, decision.b_dense, c_dense);
-        rec.a_converted = decision.a_converted;
-        rec.b_converted = decision.b_converted;
-        rec.stored_cost = decision.stored_cost;
-        rec.chosen_cost = decision.projected_cost;
-        obs::DecisionLog::Global().Record(rec);
-      }
       if (ctx.ledger_enabled) {
         const KernelType chosen =
             MakeKernelType(decision.a_dense, decision.b_dense, c_dense);
@@ -309,33 +287,31 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
                                    static_cast<double>(shape.m) *
                                    static_cast<double>(shape.k) *
                                    static_cast<double>(shape.n);
-        if (ctx.use_estimate && ctx.dynamic_conversion) {
-          // Held back until the tile's realized density is known.
-          obs::ReprAuditRecord repr;
-          repr.op = ctx.op_id;
-          repr.ti = ti;
-          repr.tj = tj;
-          repr.k0 = mp.k0;
-          repr.k1 = mp.k1;
-          repr.m = shape.m;
-          repr.k = shape.k;
-          repr.n = shape.n;
-          repr.rho_a = shape.rho_a;
-          repr.rho_b = shape.rho_b;
-          repr.rho_c_pred = rho_c;
-          repr.rho_c_actual = -1.0;
-          repr.rho_w = ctx.rho_w;
-          repr.a_stored_dense = mp.a_tile->is_dense();
-          repr.b_stored_dense = mp.b_tile->is_dense();
-          repr.a_cached = a_cached;
-          repr.b_cached = b_cached;
-          repr.allow_conversion = true;
-          repr.c_dense = c_dense;
-          repr.kernel = static_cast<int>(chosen);
-          repr.stored_cost = decision.stored_cost;
-          repr.chosen_cost = decision.projected_cost;
-          pending_repr.push_back(repr);
-        }
+        // Held back until the tile's realized density is known.
+        obs::ReprAuditRecord repr;
+        repr.op = ctx.op_id;
+        repr.ti = ti;
+        repr.tj = tj;
+        repr.k0 = mp.k0;
+        repr.k1 = mp.k1;
+        repr.m = shape.m;
+        repr.k = shape.k;
+        repr.n = shape.n;
+        repr.rho_a = shape.rho_a;
+        repr.rho_b = shape.rho_b;
+        repr.rho_c_pred = ctx.use_estimate ? rho_c : -1.0;
+        repr.rho_c_actual = -1.0;
+        repr.rho_w = ctx.rho_w;
+        repr.a_stored_dense = mp.a_tile->is_dense();
+        repr.b_stored_dense = mp.b_tile->is_dense();
+        repr.a_cached = a_cached;
+        repr.b_cached = b_cached;
+        repr.allow_conversion = ctx.dynamic_conversion;
+        repr.c_dense = c_dense;
+        repr.kernel = static_cast<int>(chosen);
+        repr.stored_cost = decision.stored_cost;
+        repr.chosen_cost = decision.projected_cost;
+        pending_repr.push_back(repr);
       }
 #endif
 

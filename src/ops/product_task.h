@@ -119,11 +119,10 @@ struct ProductContext {
   AtMultStats* stats = nullptr;
   Mutex* stats_mutex = nullptr;
 
-  // Decision-audit grouping (0 / false when auditing is off).
+  // Audit-ledger recording (obs::AuditLedger): per-pair representation
+  // decisions, per-task cost outcomes, SPA mode choices, grouped under
+  // op_id (0 / false when the ledger is off).
   std::uint64_t op_id = 0;
-  bool audit_enabled = false;
-  // Prediction-vs-outcome ledger recording (obs::AuditLedger): per-pair
-  // representation decisions, per-task cost outcomes, SPA mode choices.
   bool ledger_enabled = false;
 };
 

@@ -11,6 +11,7 @@
 #include "gen/synthetic.h"
 #include "kernels/kernel_dispatch.h"
 #include "kernels/sparse_kernels.h"
+#include "ops/explain.h"
 #include "storage/convert.h"
 #include "tests/test_util.h"
 #include "tile/partitioner.h"
@@ -239,16 +240,18 @@ TEST(AtMultStatsTest, ConversionsHappenForSparseTimesFullDense) {
   ExpectDenseNear(CsrToDense(expected), CsrToDense(c.ToCsr()), 1e-9);
 }
 
-// Each operand converts through its own JIT conversion cache: multiplying
-// a matrix by itself must make exactly the decisions of multiplying it by
-// a copy — a tile converted for the left operand is not "cached" for the
-// right one. One team keeps the decision sequence deterministic.
-TEST(AtMultStatsTest, OperandSidesNeverShareConversions) {
+// One team, small LLC: the decision sequence is deterministic and tiles
+// are small enough for the optimizer to convert.
+AtmConfig ConversionConfig() {
   AtmConfig config = TestConfig();
   config.num_sockets = 1;
   config.llc_bytes = 16 * 1024;
-  // Dense diagonal blocks next to tiles just below the read threshold: the
-  // sparse tiles meet dense partners and the optimizer converts them.
+  return config;
+}
+
+// Dense diagonal blocks next to tiles just below the read threshold: the
+// sparse tiles meet dense partners and the optimizer converts them.
+CooMatrix ConversionProneCoo() {
   const CooMatrix blocks =
       GenerateDiagonalDenseBlocks(96, 3, 32, 0.22, 100, 17);
   CooMatrix coo(96, 96);
@@ -261,11 +264,25 @@ TEST(AtMultStatsTest, OperandSidesNeverShareConversions) {
       coo.Add(r, c, 1.0 + 0.01 * static_cast<double>(r + c));
     }
   }
-  ATMatrix a = PartitionToAtm(coo, config);
-  ATMatrix copy_of_a = PartitionToAtm(coo, config);
+  return coo;
+}
+
+AtMult ConversionProneOp(const AtmConfig& config) {
   CostParams params;
   params.c_sdd_panel = params.c_sdd;
-  AtMult op(config, CostModel(params));
+  return AtMult(config, CostModel(params));
+}
+
+// Each operand converts through its own JIT conversion cache: multiplying
+// a matrix by itself must make exactly the decisions of multiplying it by
+// a copy — a tile converted for the left operand is not "cached" for the
+// right one.
+TEST(AtMultStatsTest, OperandSidesNeverShareConversions) {
+  const AtmConfig config = ConversionConfig();
+  const CooMatrix coo = ConversionProneCoo();
+  ATMatrix a = PartitionToAtm(coo, config);
+  ATMatrix copy_of_a = PartitionToAtm(coo, config);
+  const AtMult op = ConversionProneOp(config);
 
   AtMultStats self_stats;
   AtMultStats copy_stats;
@@ -285,6 +302,33 @@ TEST(AtMultStatsTest, OperandSidesNeverShareConversions) {
   }
   ExpectDenseNear(CsrToDense(self.ToCsr()), CsrToDense(copy.ToCsr()), 0.0);
 }
+
+#if defined(ATMX_OBS_ENABLED)
+// The decision table counts a JIT conversion only where one ran: a
+// representation change served by the conversion cache is not one. On
+// one team its count is exactly the operator's conversion stats.
+TEST(AtMultStatsTest, DecisionTableCountsOnlyFreshConversions) {
+  const AtmConfig config = ConversionConfig();
+  const ATMatrix a = PartitionToAtm(ConversionProneCoo(), config);
+  const AtMult op = ConversionProneOp(config);
+  obs::AuditLedger& ledger = obs::AuditLedger::Global();
+  ledger.Clear();
+  ledger.SetEnabled(true);
+  AtMultStats stats;
+  (void)op.Multiply(a, a, &stats);
+  ledger.SetEnabled(false);
+  const index_t conversions =
+      stats.sparse_to_dense_conversions + stats.dense_to_sparse_conversions;
+  ASSERT_GT(conversions, 0);
+  const obs::AuditLedgerDoc doc = ledger.Snapshot();
+  const std::string summary = FormatDecisionLog(doc.repr);
+  EXPECT_NE(summary.find(std::to_string(doc.repr.size()) + " decisions, " +
+                         std::to_string(conversions) + " JIT conversions"),
+            std::string::npos)
+      << summary;
+  ledger.Clear();
+}
+#endif
 
 TEST(AtMultTest, ChainedMultiplication) {
   // (A*A)*A via AT MATRIX chaining — the result's density map feeds the

@@ -110,7 +110,12 @@ TEST(Percentile, NearestRank) {
 // ---- Report construction ----
 
 TEST(AuditReport, EmptyLedgerProducesZeroCountsAndGateSkips) {
-  const AuditLedgerDoc doc;  // empty density map, no records anywhere
+  // A minimal ledger file loads with every class empty.
+  auto parsed = ParseAuditLedgerJson(
+      "{\"kind\":\"atmx_audit_ledger\",\"schema_version\":1,\"density\":[]}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  const AuditLedgerDoc& doc = parsed.value();
+  EXPECT_TRUE(doc.empty());
   const AuditReport rep = BuildAuditReport(doc, 10);
   EXPECT_EQ(0u, rep.density.count);
   EXPECT_EQ(0u, rep.cost.count);
@@ -314,9 +319,21 @@ TEST(AuditReport, MeasuredDensityAcrossWaterLevelFlipsKernel) {
   r.c_dense = false;
   r.kernel = static_cast<int>(MakeKernelType(d.a_dense, d.b_dense, false));
   doc.repr.push_back(r);
+  // The same decision made without an estimate, or with conversions off,
+  // has no counterfactual: the replay skips both.
+  ReprAuditRecord no_estimate = r;
+  no_estimate.rho_c_pred = -1.0;
+  doc.repr.push_back(no_estimate);
+  ReprAuditRecord no_conversion = r;
+  no_conversion.allow_conversion = false;
+  doc.repr.push_back(no_conversion);
   const AuditReport rep = BuildAuditReport(doc, 0);
   EXPECT_EQ(1u, rep.repr_considered);
   EXPECT_EQ(1u, rep.repr_regret);
+  EXPECT_EQ(1u, rep.repr.count);
+  // Injection has no estimate to worsen on the first of them.
+  InjectDensityMisestimate(&doc, 2.0);
+  EXPECT_EQ(-1.0, doc.repr[1].rho_c_pred);
 }
 
 // ---- Serialization round-trips ----
@@ -386,13 +403,19 @@ AuditLedgerDoc OneOfEachDoc() {
   doc.repr.push_back(r);
   ChainAuditRecord ch;
   ch.op = 8;
+  ch.plan = "((A0*A1)*\"A2\")";  // quotes survive escaping
+  ch.length = 3;
   ch.planned_cost = 500.0;
   ch.alternative_cost = 750.0;
-  ch.fused = true;
+  ch.fused = false;
+  ch.fallback_reason = "budget_infeasible";
+  ch.fused_tasks = 12;
   ch.measured_seconds = 0.0125;
   ch.budget_bytes = 1 << 21;
+  ch.projected_peak_bytes = (1 << 21) + 512;
   ch.resident_peak_bytes = (1 << 21) - 4096;
   ch.rho_w = {0.03, 0.5, 1.0 / 3.0};
+  ch.products = {"pairs=4 kernels=4", "pairs=9 kernels=9"};
   doc.chain.push_back(ch);
   return doc;
 }
@@ -438,6 +461,13 @@ TEST(AuditLedgerJson, RoundTripPreservesEveryField) {
   EXPECT_EQ(doc.chain[0].resident_peak_bytes,
             back.chain[0].resident_peak_bytes);
   EXPECT_EQ(doc.chain[0].rho_w, back.chain[0].rho_w);
+  EXPECT_EQ(doc.chain[0].plan, back.chain[0].plan);
+  EXPECT_EQ(doc.chain[0].length, back.chain[0].length);
+  EXPECT_EQ(doc.chain[0].fallback_reason, back.chain[0].fallback_reason);
+  EXPECT_EQ(doc.chain[0].fused_tasks, back.chain[0].fused_tasks);
+  EXPECT_EQ(doc.chain[0].projected_peak_bytes,
+            back.chain[0].projected_peak_bytes);
+  EXPECT_EQ(doc.chain[0].products, back.chain[0].products);
 }
 
 TEST(AuditLedgerJson, ReplayIsDeterministic) {
@@ -452,11 +482,34 @@ TEST(AuditLedgerJson, ReplayIsDeterministic) {
   EXPECT_EQ(text1, text2);
   // Render → parse → render is a fixed point.
   EXPECT_EQ(json, RenderAuditLedgerJson(a.value()));
+
+  // Hand-written ledger: an infeasible water level is counted and
+  // rendered; a chain record written before the chain fields existed
+  // loads with defaults.
+  auto b = ParseAuditLedgerJson(
+      "{\"kind\":\"atmx_audit_ledger\",\"schema_version\":1,"
+      "\"waterlevel\":[{\"op\":0,\"projected_bytes\":100,"
+      "\"result_bytes\":100,\"feasible\":false},"
+      "{\"op\":1,\"projected_bytes\":100,\"result_bytes\":100}],"
+      "\"chain\":[{\"op\":2,\"planned_cost\":5,\"fused\":true}]}");
+  ASSERT_TRUE(b.ok()) << b.status().message();
+  const AuditReport rep = BuildAuditReport(b.value(), 0);
+  EXPECT_EQ(1u, rep.waterlevel_infeasible);
+  EXPECT_NE(std::string::npos,
+            RenderAuditReportText(rep).find(
+                "waterlevel: 1/2 records under an infeasible memory SLA"));
+  ASSERT_EQ(1u, b.value().chain.size());
+  EXPECT_TRUE(b.value().chain[0].fused);
+  EXPECT_EQ("", b.value().chain[0].plan);
+  EXPECT_TRUE(b.value().chain[0].products.empty());
 }
 
 TEST(AuditLedgerJson, ParseRejectsWrongKind) {
   EXPECT_FALSE(ParseAuditLedgerJson("{\"kind\":\"something_else\"}").ok());
   EXPECT_FALSE(ParseAuditLedgerJson("not json").ok());
+  EXPECT_FALSE(ParseAuditLedgerJson(
+                   "{\"kind\":\"atmx_audit_ledger\",\"schema_version\":999}")
+                   .ok());
 }
 
 TEST(AuditLedgerGlobal, WriteJsonAndLoadFromDisk) {

@@ -12,6 +12,7 @@
 #include "kernels/sparse_kernels.h"
 #include "obs/obs.h"
 #include "ops/chain_exec.h"
+#include "ops/explain.h"
 #include "ops/reference_mult.h"
 #include "storage/convert.h"
 #include "tests/test_util.h"
@@ -487,6 +488,36 @@ TEST(ChainExecuteTest, FusedBudgetBoundsResidentPeak) {
   EXPECT_LE(stats.resident_peak_bytes, budget + budget / 4);
 }
 
+// Runs a chain that must decline fusion for `reason`; with the
+// observability layer in, the ledger's chain record carries the same
+// outcome and the chain table shows it.
+void ExpectFallback(const std::vector<const ATMatrix*>& chain,
+                    const ChainPlan& plan, const AtMult& op,
+                    const std::string& reason) {
+#ifdef ATMX_OBS_ENABLED
+  obs::AuditLedger& ledger = obs::AuditLedger::Global();
+  ledger.Clear();
+  ledger.SetEnabled(true);
+#endif
+  ChainExecStats stats;
+  ExecuteChain(chain, plan, op, &stats);
+  EXPECT_FALSE(stats.fused);
+  EXPECT_EQ(stats.fallback_reason, reason);
+#ifdef ATMX_OBS_ENABLED
+  ledger.SetEnabled(false);
+  const obs::AuditLedgerDoc doc = ledger.Snapshot();
+  ASSERT_EQ(doc.chain.size(), 1u);
+  const obs::ChainAuditRecord& record = doc.chain.front();
+  EXPECT_EQ(record.plan, plan.ToString());
+  EXPECT_EQ(record.length, static_cast<index_t>(chain.size()));
+  EXPECT_FALSE(record.fused);
+  EXPECT_EQ(record.fallback_reason, reason);
+  EXPECT_NE(FormatChainDecisions(doc.chain).find("no(" + reason + ")"),
+            std::string::npos);
+  ledger.Clear();
+#endif
+}
+
 TEST(ChainExecuteTest, FallbackReasonsAreRecorded) {
   const AtmConfig base = ChainConfig();
   CooMatrix a_coo = RandomCoo(48, 48, 400, 60);
@@ -499,10 +530,7 @@ TEST(ChainExecuteTest, FallbackReasonsAreRecorded) {
     ATMatrix b = PartitionToAtm(b_coo, base);
     ChainPlan plan = PlanChain({&a.density_map(), &b.density_map()},
                                CostModel(), base.rho_write);
-    ChainExecStats stats;
-    ExecuteChain({&a, &b}, plan, AtMult(base), &stats);
-    EXPECT_FALSE(stats.fused);
-    EXPECT_EQ(stats.fallback_reason, "short_chain");
+    ExpectFallback({&a, &b}, plan, AtMult(base), "short_chain");
   }
 
   // Finite budget without density estimation: the chain-scope water
@@ -517,10 +545,7 @@ TEST(ChainExecuteTest, FallbackReasonsAreRecorded) {
     ChainPlan plan = PlanChain(
         {&a.density_map(), &b.density_map(), &c.density_map()}, CostModel(),
         config.rho_write);
-    ChainExecStats stats;
-    ExecuteChain({&a, &b, &c}, plan, AtMult(config), &stats);
-    EXPECT_FALSE(stats.fused);
-    EXPECT_EQ(stats.fallback_reason, "no_estimation");
+    ExpectFallback({&a, &b, &c}, plan, AtMult(config), "no_estimation");
   }
 
   // Fusion switched off entirely.
@@ -533,10 +558,7 @@ TEST(ChainExecuteTest, FallbackReasonsAreRecorded) {
     ChainPlan plan = PlanChain(
         {&a.density_map(), &b.density_map(), &c.density_map()}, CostModel(),
         config.rho_write);
-    ChainExecStats stats;
-    ExecuteChain({&a, &b, &c}, plan, AtMult(config), &stats);
-    EXPECT_FALSE(stats.fused);
-    EXPECT_EQ(stats.fallback_reason, "disabled");
+    ExpectFallback({&a, &b, &c}, plan, AtMult(config), "disabled");
   }
 }
 

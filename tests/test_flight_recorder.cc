@@ -12,15 +12,13 @@
 #include <sstream>
 #include <string>
 
-#include "obs/decision_log.h"
+#include "obs/audit_ledger.h"
 #include "obs/json_util.h"
 #include "obs/metrics.h"
 
 namespace atmx {
 namespace {
 
-using obs::DecisionLog;
-using obs::DecisionRecord;
 using obs::FlightRecorder;
 
 std::string ReadFile(const std::string& path) {
@@ -62,11 +60,11 @@ TEST(FlightRecorderTest, DumpNowWritesParseableSchemaCompleteJson) {
   obs::MetricsRegistry::Global()
       .GetCounter("flight_test.events")
       .Add(7);
-  DecisionLog::Global().SetEnabled(true);
-  DecisionRecord record;
-  record.op_id = DecisionLog::Global().NextOpId();
-  DecisionLog::Global().Record(record);
-  DecisionLog::Global().SetEnabled(false);
+  obs::AuditLedger& ledger = obs::AuditLedger::Global();
+  obs::ReprAuditRecord record;
+  record.op = ledger.NextOpId();
+  record.ti = 3;
+  ledger.RecordRepr(record);
 
   const std::string path = recorder.DumpPath();
   EXPECT_NE(path.find("atmx_flight_"), std::string::npos);
@@ -84,11 +82,12 @@ TEST(FlightRecorderTest, DumpNowWritesParseableSchemaCompleteJson) {
             std::string::npos);
   EXPECT_NE(dump.find("\"mem_high_water_bytes\":"), std::string::npos);
   EXPECT_NE(dump.find("\"flight_test.events\""), std::string::npos);
-  EXPECT_NE(dump.find("\"decisions\":["), std::string::npos);
+  EXPECT_NE(dump.find("\"decisions\":[{\"op\":"), std::string::npos);
+  EXPECT_NE(dump.find("\"ti\":3,"), std::string::npos);
   EXPECT_NE(dump.find("\"traceEvents\""), std::string::npos);
 
   recorder.Uninstall();
-  DecisionLog::Global().Clear();
+  ledger.Clear();
 }
 
 TEST(FlightRecorderTest, RefreshIsANoOpBeforeInstall) {

@@ -1,6 +1,7 @@
 // Observability layer: metrics-registry semantics, histogram bucketing,
-// trace recording + JSON well-formedness, the decision-audit ring, and the
-// invariant that "kernel" trace spans match the per-variant invocation
+// trace recording + JSON well-formedness, the audit ledger as decision
+// stream (retention, decision table), and the invariant that "kernel"
+// trace spans and ledger repr records match the per-variant invocation
 // counters of a real ATMULT execution.
 
 #include "obs/obs.h"
@@ -15,6 +16,7 @@
 
 #include "gen/synthetic.h"
 #include "kernels/kernel_dispatch.h"
+#include "obs/audit_ledger.h"
 #include "obs/json_util.h"
 #include "ops/atmult.h"
 #include "ops/explain.h"
@@ -25,9 +27,10 @@ namespace atmx {
 namespace {
 
 using atmx::testing::RandomCoo;
-using obs::DecisionLog;
-using obs::DecisionRecord;
+using obs::AuditLedger;
+using obs::AuditLedgerDoc;
 using obs::MetricsRegistry;
+using obs::ReprAuditRecord;
 using obs::TraceRecorder;
 
 AtmConfig TestConfig() {
@@ -219,140 +222,181 @@ TEST(JsonUtilTest, AcceptsValidRejectsInvalid) {
   EXPECT_TRUE(obs::JsonWellFormed("{\"a\":[1,2.5,-3e2,true,null,\"s\"]}",
                                   &error))
       << error;
-  EXPECT_FALSE(obs::JsonWellFormed("{\"a\":}", &error));
-  EXPECT_FALSE(obs::JsonWellFormed("[1,2,]", &error));
-  EXPECT_FALSE(obs::JsonWellFormed("{} trailing", &error));
+  EXPECT_TRUE(obs::ParseJson("{\"a\":\"\\u00e9\"}").ok());
+  // Both entry points run the same parser: every input is checked
+  // through each of them.
+  const std::string too_deep = std::string(300, '[') + std::string(300, ']');
+  for (const std::string& bad :
+       {std::string("{\"a\":}"), std::string("[1,2,]"),
+        std::string("{} trailing"), std::string("\"\\u12g4\""),
+        std::string("\"a\tb\""), too_deep, std::string("[1] [2]")}) {
+    error.clear();
+    EXPECT_FALSE(obs::JsonWellFormed(bad, &error)) << bad;
+    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(obs::ParseJson(bad).ok()) << bad;
+  }
+  EXPECT_TRUE(obs::JsonWellFormed(std::string(256, '[') +
+                                  std::string(256, ']')));
   EXPECT_EQ(obs::EscapeJson("a\"b\\c\n"), "a\\\"b\\\\c\\n");
 }
 
-// --- Decision log. --------------------------------------------------------
+// --- Audit ledger as the decision stream. --------------------------------
 
-TEST(DecisionLogTest, DisabledByDefaultAndRecords) {
-  DecisionLog& log = DecisionLog::Global();
-  log.Clear();
-  log.SetEnabled(false);
-  DecisionRecord rec;
-  log.Record(rec);
-  EXPECT_TRUE(log.Snapshot().empty());
+TEST(AuditLedgerTest, DisabledByDefaultAndRecords) {
+  AuditLedger& ledger = AuditLedger::Global();
+  EXPECT_FALSE(ledger.enabled());
+  ledger.Clear();
+  const AtmConfig config = TestConfig();
+  const ATMatrix a = PartitionToAtm(RandomCoo(64, 64, 400, 5), config);
+  AtMult op(config);
+  (void)op.Multiply(a, a);
+  EXPECT_TRUE(ledger.Snapshot().empty());
 
-  log.SetEnabled(true);
-  rec.op_id = log.NextOpId();
+  // Stored sparse x sparse, chosen dense x sparse -> dense: A converts.
+  ReprAuditRecord rec;
+  rec.op = ledger.NextOpId();
   rec.ti = 1;
   rec.tj = 2;
-  rec.kernel = KernelType::kSSD;
-  rec.a_converted = true;
-  log.Record(rec);
-  log.SetEnabled(false);
-  const std::vector<DecisionRecord> records = log.Snapshot();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].ti, 1);
-  EXPECT_EQ(records[0].tj, 2);
-  EXPECT_EQ(records[0].kernel, KernelType::kSSD);
-  EXPECT_TRUE(records[0].a_converted);
+  rec.kernel = static_cast<int>(KernelType::kDSD);
+  ledger.RecordRepr(rec);
+  // The same choice served by a cached conversion is not a conversion.
+  rec.a_cached = true;
+  ledger.RecordRepr(rec);
+  const AuditLedgerDoc doc = ledger.Snapshot();
+  ASSERT_EQ(doc.repr.size(), 2u);
+  EXPECT_EQ(doc.repr[0].ti, 1);
+  EXPECT_EQ(doc.repr[0].tj, 2);
+  EXPECT_EQ(doc.repr[0].kernel, static_cast<int>(KernelType::kDSD));
+  EXPECT_TRUE(doc.repr[0].a_converted());
+  EXPECT_FALSE(doc.repr[0].b_converted());
+  EXPECT_FALSE(doc.repr[1].a_converted());
 
   std::string error;
-  EXPECT_TRUE(obs::JsonWellFormed(log.ToJson(), &error)) << error;
-  EXPECT_FALSE(FormatDecisionLog(records).empty());
-  log.Clear();
+  EXPECT_TRUE(obs::JsonWellFormed(ledger.ToJson(), &error)) << error;
+  const std::string table = FormatDecisionLog(doc.repr);
+  EXPECT_NE(table.find("2 decisions, 1 JIT conversions"), std::string::npos)
+      << table;
+  ledger.Clear();
 }
 
-TEST(DecisionLogTest, RingWrapKeepsNewestOldestFirst) {
-  DecisionLog& log = DecisionLog::Global();
-  log.SetCapacity(4);
-  log.SetEnabled(true);
-  for (int i = 0; i < 10; ++i) {
-    DecisionRecord rec;
-    rec.ti = i;
-    log.Record(rec);
+TEST(AuditLedgerTest, CapDropsOldestKeepsNewest) {
+  AuditLedger& ledger = AuditLedger::Global();
+  ledger.Clear();
+  constexpr std::size_t kCap = AuditLedger::kMaxRecordsPerClass;
+  constexpr std::size_t kExtra = 6;
+  for (std::size_t i = 0; i < kCap + kExtra; ++i) {
+    ReprAuditRecord rec;
+    rec.ti = static_cast<index_t>(i);
+    ledger.RecordRepr(rec);
   }
-  log.SetEnabled(false);
-  const std::vector<DecisionRecord> records = log.Snapshot();
-  ASSERT_EQ(records.size(), 4u);
-  EXPECT_EQ(records[0].ti, 6);
-  EXPECT_EQ(records[3].ti, 9);
-  EXPECT_EQ(log.TotalRecorded(), 10u);
-  log.SetCapacity(DecisionLog::kDefaultCapacity);  // also clears
+  const AuditLedgerDoc doc = ledger.Snapshot();
+  ASSERT_EQ(doc.repr.size(), kCap);
+  EXPECT_EQ(doc.repr.front().ti, static_cast<index_t>(kExtra));
+  EXPECT_EQ(doc.repr.back().ti, static_cast<index_t>(kCap + kExtra - 1));
+  EXPECT_EQ(doc.dropped, kExtra);
+
+  // The crash tail: the newest records, oldest first.
+  const std::deque<ReprAuditRecord> tail = ledger.NewestRepr(4);
+  ASSERT_EQ(tail.size(), 4u);
+  EXPECT_EQ(tail.front().ti, static_cast<index_t>(kCap + kExtra - 4));
+  EXPECT_EQ(tail.back().ti, static_cast<index_t>(kCap + kExtra - 1));
+  EXPECT_EQ(ledger.NewestRepr(2 * kCap).size(), kCap);
+  ledger.Clear();
 }
 
 // --- End-to-end: trace + audit of a real ATMULT. --------------------------
 
 TEST(ObsIntegrationTest, SpanCountMatchesKernelCounters) {
-  AtmConfig config = TestConfig();
+  const AtmConfig base = TestConfig();
   CooMatrix a_coo = GenerateDiagonalDenseBlocks(128, 4, 24, 0.9, 500, 21);
   CooMatrix b_coo = RandomCoo(128, 128, 1200, 22);
-  ATMatrix a = PartitionToAtm(a_coo, config);
-  ATMatrix b = PartitionToAtm(b_coo, config);
+  ATMatrix a = PartitionToAtm(a_coo, base);
+  ATMatrix b = PartitionToAtm(b_coo, base);
 
-  std::uint64_t before[kNumKernelTypes];
-  for (int v = 0; v < kNumKernelTypes; ++v) {
-    before[v] = MetricsRegistry::Global()
-                    .GetCounter(KernelMetricName(static_cast<KernelType>(v)))
-                    .Value();
-  }
-
-  TraceRecorder& rec = TraceRecorder::Global();
-  rec.Clear();
-  rec.Enable();
-  DecisionLog::Global().Clear();
-  DecisionLog::Global().SetEnabled(true);
-
-  AtMult op(config);
-  AtMultStats stats;
-  ATMatrix c = op.Multiply(a, b, &stats);
-
-  rec.Disable();
-  DecisionLog::Global().SetEnabled(false);
-  ASSERT_GT(stats.pair_multiplications, 0);
-  EXPECT_GT(c.nnz(), 0);
-
-  // Per-operation stats: variant counts sum to the pair count.
-  EXPECT_EQ(stats.TotalKernelInvocations(), stats.pair_multiplications);
-
-  // Registry counters advanced by exactly this operation's counts.
-  index_t registry_delta = 0;
-  for (int v = 0; v < kNumKernelTypes; ++v) {
-    const std::uint64_t after =
-        MetricsRegistry::Global()
-            .GetCounter(KernelMetricName(static_cast<KernelType>(v)))
-            .Value();
-    EXPECT_EQ(after - before[v],
-              static_cast<std::uint64_t>(stats.kernel_invocations[v]))
-        << KernelMetricName(static_cast<KernelType>(v));
-    registry_delta += static_cast<index_t>(after - before[v]);
-  }
-  EXPECT_EQ(registry_delta, stats.pair_multiplications);
-
-  // One "kernel"-category span per tile-pair multiplication.
-  index_t kernel_spans = 0;
-  std::set<std::string> span_names;
-  for (const obs::TraceEvent& e : rec.Snapshot()) {
-    if (std::string(e.category) == "kernel") {
-      ++kernel_spans;
-      span_names.insert(e.name);
-    }
-  }
-  EXPECT_EQ(kernel_spans, stats.pair_multiplications);
-  for (const std::string& name : span_names) {
-    bool known = false;
+  // The ledger records every prepared pair whether or not the optimizer
+  // had an estimate or could convert.
+  AtmConfig no_estimate = base;
+  no_estimate.density_estimation = false;
+  AtmConfig no_conversion = base;
+  no_conversion.dynamic_conversion = false;
+  for (const AtmConfig& config : {base, no_estimate, no_conversion}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "density_estimation=" << config.density_estimation
+                 << " dynamic_conversion=" << config.dynamic_conversion);
+    std::uint64_t before[kNumKernelTypes];
     for (int v = 0; v < kNumKernelTypes; ++v) {
-      if (name == KernelTypeName(static_cast<KernelType>(v))) known = true;
+      before[v] = MetricsRegistry::Global()
+                      .GetCounter(KernelMetricName(static_cast<KernelType>(v)))
+                      .Value();
     }
-    EXPECT_TRUE(known) << name;
-  }
 
-  // The audit saw every decided pair of this operation.
-  index_t audited = 0;
-  for (const DecisionRecord& r : DecisionLog::Global().Snapshot()) {
-    audited += 1;
-    EXPECT_GE(r.rho_a, 0.0);
-    EXPECT_GE(r.rho_b, 0.0);
-  }
-  EXPECT_EQ(audited, stats.pair_multiplications);
+    TraceRecorder& rec = TraceRecorder::Global();
+    rec.Clear();
+    rec.Enable();
+    AuditLedger& ledger = AuditLedger::Global();
+    ledger.Clear();
+    ledger.SetEnabled(true);
 
-  std::string error;
-  EXPECT_TRUE(obs::JsonWellFormed(rec.ToJson(), &error)) << error;
-  rec.Clear();
-  DecisionLog::Global().Clear();
+    AtMult op(config);
+    AtMultStats stats;
+    ATMatrix c = op.Multiply(a, b, &stats);
+
+    rec.Disable();
+    ledger.SetEnabled(false);
+    ASSERT_GT(stats.pair_multiplications, 0);
+    EXPECT_GT(c.nnz(), 0);
+
+    // Per-operation stats: variant counts sum to the pair count.
+    EXPECT_EQ(stats.TotalKernelInvocations(), stats.pair_multiplications);
+
+    // Registry counters advanced by exactly this operation's counts.
+    index_t registry_delta = 0;
+    for (int v = 0; v < kNumKernelTypes; ++v) {
+      const std::uint64_t after =
+          MetricsRegistry::Global()
+              .GetCounter(KernelMetricName(static_cast<KernelType>(v)))
+              .Value();
+      EXPECT_EQ(after - before[v],
+                static_cast<std::uint64_t>(stats.kernel_invocations[v]))
+          << KernelMetricName(static_cast<KernelType>(v));
+      registry_delta += static_cast<index_t>(after - before[v]);
+    }
+    EXPECT_EQ(registry_delta, stats.pair_multiplications);
+
+    // One "kernel"-category span per tile-pair multiplication.
+    index_t kernel_spans = 0;
+    std::set<std::string> span_names;
+    for (const obs::TraceEvent& e : rec.Snapshot()) {
+      if (std::string(e.category) == "kernel") {
+        ++kernel_spans;
+        span_names.insert(e.name);
+      }
+    }
+    EXPECT_EQ(kernel_spans, stats.pair_multiplications);
+    for (const std::string& name : span_names) {
+      bool known = false;
+      for (int v = 0; v < kNumKernelTypes; ++v) {
+        if (name == KernelTypeName(static_cast<KernelType>(v))) known = true;
+      }
+      EXPECT_TRUE(known) << name;
+    }
+
+    // The ledger saw every decided pair of this operation.
+    const AuditLedgerDoc doc = ledger.Snapshot();
+    EXPECT_EQ(static_cast<index_t>(doc.repr.size()),
+              stats.pair_multiplications);
+    for (const ReprAuditRecord& r : doc.repr) {
+      EXPECT_GE(r.rho_a, 0.0);
+      EXPECT_GE(r.rho_b, 0.0);
+      EXPECT_EQ(r.rho_c_pred >= 0.0, config.density_estimation);
+      EXPECT_EQ(r.allow_conversion, config.dynamic_conversion);
+    }
+
+    std::string error;
+    EXPECT_TRUE(obs::JsonWellFormed(rec.ToJson(), &error)) << error;
+    rec.Clear();
+    ledger.Clear();
+  }
 }
 
 // --- Memory tracker. ------------------------------------------------------

@@ -3,9 +3,9 @@
 // first-use registration and snapshotting, the TraceRecorder's
 // registry-then-shard two-lock nesting (append vs Snapshot/Clear — the
 // exact interleaving the LOCK ORDER comment in obs/trace.h governs), and
-// the DecisionLog ring buffer. Assertions are simple totals; the point is
-// that ThreadSanitizer sees every edge of each protocol under schedules a
-// single-threaded unit test never produces.
+// the AuditLedger's capped per-class record store. Assertions are simple
+// totals; the point is that ThreadSanitizer sees every edge of each
+// protocol under schedules a single-threaded unit test never produces.
 
 #include <gtest/gtest.h>
 
@@ -15,15 +15,14 @@
 #include <thread>
 #include <vector>
 
-#include "obs/decision_log.h"
+#include "obs/audit_ledger.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace atmx {
 namespace {
 
-using obs::DecisionLog;
-using obs::DecisionRecord;
+using obs::AuditLedger;
 using obs::MetricsRegistry;
 using obs::TraceRecorder;
 
@@ -169,19 +168,21 @@ TEST(ObsRaceStressTest, HistogramObserveVsTakeSnapshotStaysCoherent) {
   EXPECT_EQ(bucket_total, expected);
 }
 
-TEST(ObsRaceStressTest, DecisionLogRecordVsSnapshot) {
-  DecisionLog& log = DecisionLog::Global();
-  log.SetCapacity(256);  // small ring: force wrap-around under contention
-  log.SetEnabled(true);
-  const std::uint64_t base_total = log.TotalRecorded();
+TEST(ObsRaceStressTest, AuditLedgerRecordVsSnapshot) {
+  AuditLedger& ledger = AuditLedger::Global();
+  ledger.Clear();
+  ledger.SetEnabled(true);
 
+  // Enough records to pass the per-class cap under contention, so the
+  // drop-oldest eviction races the readers too.
+  constexpr std::size_t kCap = AuditLedger::kMaxRecordsPerClass;
   constexpr int kWriters = 4;
-  constexpr int kRounds = 500;
+  constexpr int kRounds = static_cast<int>(kCap / kWriters) + 200;
   std::atomic<bool> stop{false};
   std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)log.Snapshot();
-      (void)log.ToJson();
+      (void)ledger.NewestRepr(64);  // the flight-recorder tail
+      (void)ledger.Snapshot();
     }
   });
 
@@ -189,23 +190,24 @@ TEST(ObsRaceStressTest, DecisionLogRecordVsSnapshot) {
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       for (int round = 0; round < kRounds; ++round) {
-        DecisionRecord record;
-        record.op_id = log.NextOpId();
+        obs::ReprAuditRecord record;
+        record.op = ledger.NextOpId();
         record.ti = w;
         record.tj = round;
-        log.Record(record);
+        ledger.RecordRepr(record);
       }
     });
   }
   for (auto& t : writers) t.join();
   stop.store(true, std::memory_order_relaxed);
   reader.join();
-  log.SetEnabled(false);
+  ledger.SetEnabled(false);
 
-  EXPECT_EQ(log.TotalRecorded() - base_total,
-            static_cast<std::uint64_t>(kWriters) * kRounds);
-  EXPECT_EQ(log.Snapshot().size(), 256u);  // ring stayed capped
-  log.Clear();
+  const obs::AuditLedgerDoc doc = ledger.Snapshot();
+  const std::uint64_t total = static_cast<std::uint64_t>(kWriters) * kRounds;
+  EXPECT_EQ(doc.repr.size(), kCap);  // stayed capped
+  EXPECT_EQ(doc.dropped, total - kCap);
+  ledger.Clear();
 }
 
 }  // namespace

@@ -7,13 +7,14 @@
 //   atmx render <in> <out.pgm>           tile layout / density map image
 //   atmx convert <in> <out>              between .mtx and binary formats
 //   atmx gen <workload-id> <scale> <out> generate a Table I workload
-//   atmx trace <a> <b> <out.trace.json>  multiply with tracing + decision
-//                                        audit, write a Chrome trace
+//   atmx trace <a> <b> <out.trace.json>  multiply with tracing + audit
+//                                        ledger, write a Chrome trace
 //   atmx decisions <a> <b> [<c> ...]     multiply a chain through the
-//                                        planner with the decision audit
+//                                        planner with the audit ledger
 //                                        on; print the chosen plan, the
 //                                        fusion outcome, and every pair
-//                                        representation decision
+//                                        representation decision (--json:
+//                                        the ledger document)
 //   atmx metrics <a> <b> [--json]        multiply, dump the metrics
 //                                        registry (table or JSON)
 //   atmx profile <a> <b>                 multiply with hardware counters,
@@ -290,17 +291,16 @@ int CmdTrace(const std::string& a_path, const std::string& b_path,
   AtmConfig config = ConfigFromEnv();
   auto operands = LoadPair(a_path, b_path, config);
   if (!operands) return 1;
+  obs::AuditLedger& ledger = obs::AuditLedger::Global();
   obs::TraceRecorder::Global().Enable();
-  obs::DecisionLog::Global().SetEnabled(true);
+  ledger.SetEnabled(true);
   AtMult op(config);
   AtMultStats stats;
   ATMatrix c = op.Multiply(operands->first, operands->second, &stats);
   obs::TraceRecorder::Global().Disable();
-  obs::DecisionLog::Global().SetEnabled(false);
+  ledger.SetEnabled(false);
   std::printf("%s\n", stats.ToString().c_str());
-  std::printf("%s",
-              FormatDecisionLog(obs::DecisionLog::Global().Snapshot())
-                  .c_str());
+  std::printf("%s", FormatDecisionLog(ledger.Snapshot().repr).c_str());
   Status saved = obs::TraceRecorder::Global().WriteJson(out);
   if (!saved.ok()) {
     std::fprintf(stderr, "error: %s\n", saved.ToString().c_str());
@@ -324,9 +324,10 @@ int CmdTrace(const std::string& a_path, const std::string& b_path,
 }
 
 // Multiplies a chain of matrices through the chain planner with the
-// decision audit enabled, then renders what the optimizer chose: the
-// chain-level records (parenthesization, planned vs left-to-right cost,
-// fusion outcome) and the per-pair representation decisions.
+// audit ledger on, then renders what the optimizer chose: the chain-level
+// records (parenthesization, planned vs left-to-right cost, fusion
+// outcome) and the per-pair representation decisions — or, with --json,
+// the ledger document itself.
 int CmdDecisions(const std::vector<std::string>& paths, bool as_json) {
 #if defined(ATMX_OBS_ENABLED)
   AtmConfig config = ConfigFromEnv();
@@ -360,23 +361,18 @@ int CmdDecisions(const std::vector<std::string>& paths, bool as_json) {
   cost_options.fused = config.fused_chains;
   ChainPlan plan =
       PlanChain(maps, op.cost_model(), config.rho_write, cost_options);
-  obs::DecisionLog::Global().SetEnabled(true);
+  obs::AuditLedger& ledger = obs::AuditLedger::Global();
+  ledger.SetEnabled(true);
   ChainExecStats stats;
   ATMatrix c = ExecuteChain(chain, plan, op, &stats);
-  obs::DecisionLog::Global().SetEnabled(false);
+  ledger.SetEnabled(false);
   if (as_json) {
-    std::printf("{\"chains\":%s,\n\"pairs\":%s}\n",
-                obs::DecisionLog::Global().ChainsToJson().c_str(),
-                obs::DecisionLog::Global().ToJson().c_str());
+    std::printf("%s\n", ledger.ToJson().c_str());
   } else {
+    const obs::AuditLedgerDoc doc = ledger.Snapshot();
     std::printf("%s\n", stats.total.ToString().c_str());
-    std::printf(
-        "%s",
-        FormatChainDecisions(obs::DecisionLog::Global().ChainSnapshot())
-            .c_str());
-    std::printf("%s",
-                FormatDecisionLog(obs::DecisionLog::Global().Snapshot())
-                    .c_str());
+    std::printf("%s", FormatChainDecisions(doc.chain).c_str());
+    std::printf("%s", FormatDecisionLog(doc.repr).c_str());
   }
   (void)c;
   return 0;
@@ -659,8 +655,9 @@ int CmdWatch(const std::string& url, int interval_ms, int count) {
 // ATMX_AUDIT_OUT): per-class error distributions, worst mispredictions,
 // the counterfactual regret pass, and optionally a calibration-drift
 // gate against a committed baseline envelope. Deterministic: the same
-// ledger always produces the same report (tools/audit_report.py is the
-// Python mirror of this replay).
+// ledger always produces the same report. The replay calls the
+// production cost model and decision rules, so it cannot drift from
+// what the optimizer does.
 int CmdAudit(const std::string& ledger_path, const std::string& gate_path,
              std::size_t worst_n, double inject_density_scale,
              const std::string& envelope_out) {

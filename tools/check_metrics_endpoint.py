@@ -344,7 +344,7 @@ def mode_rates(args: argparse.Namespace) -> None:
 def mode_flight(args: argparse.Namespace) -> None:
     workdir = tempfile.mkdtemp(prefix="atmx_flight_test_")
     env = stats_env(args)
-    # Tracing also arms the decision log, so the dump carries both.
+    # Tracing also arms the audit ledger, so the dump carries both.
     env["ATMX_TRACE_OUT"] = os.path.join(workdir, "unused.trace.json")
     # The bench runs inside the scratch dir (the dump lands in the
     # process CWD); relative paths in the command must survive that.
