@@ -15,7 +15,6 @@
 #if defined(ATMX_OBS_ENABLED)
 #include "obs/audit_ledger.h"
 #include "obs/flight_recorder.h"
-#include "obs/snapshot_ring.h"
 #include "obs/stats_server.h"
 #endif
 #include "cost/calibration.h"
@@ -154,7 +153,7 @@ void StopStatsAtExit() {
     std::fprintf(stderr, "stats: lingering %d s before shutdown\n", linger);
     std::this_thread::sleep_for(std::chrono::seconds(linger));
   }
-  obs::SnapshotSampler::Global().Stop();
+  obs::FlightRecorder::Global().Uninstall();
   obs::StatsServer::Global().Stop();
 }
 
@@ -178,8 +177,12 @@ void MaybeStartStatsServer(int argc, char** argv) {
   const bool flight = EnvInt("ATMX_FLIGHT", port >= 0 ? 1 : 0) != 0;
   if (port < 0 && !flight) return;
 #if defined(ATMX_OBS_ENABLED)
+  std::atexit(StopStatsAtExit);
   if (flight) {
-    Status status = obs::FlightRecorder::Global().Install();
+    obs::FlightRecorder::Options flight_options;
+    flight_options.refresh_period =
+        std::chrono::milliseconds(EnvInt("ATMX_STATS_PERIOD_MS", 250));
+    Status status = obs::FlightRecorder::Global().Install(flight_options);
     if (!status.ok()) {
       std::fprintf(stderr, "stats: flight recorder: %s\n",
                    status.ToString().c_str());
@@ -193,16 +196,8 @@ void MaybeStartStatsServer(int argc, char** argv) {
     std::fprintf(stderr, "stats: %s\n", status.ToString().c_str());
     return;
   }
-  obs::SnapshotSampler::Options sampler_options;
-  sampler_options.period =
-      std::chrono::milliseconds(EnvInt("ATMX_STATS_PERIOD_MS", 250));
-  status = obs::SnapshotSampler::Global().Start(sampler_options);
-  if (!status.ok()) {
-    std::fprintf(stderr, "stats: sampler: %s\n", status.ToString().c_str());
-  }
   *StatsLingerSeconds() =
       static_cast<int>(EnvInt("ATMX_STATS_LINGER", 0));
-  std::atexit(StopStatsAtExit);
   // CI scrapers parse this line for the ephemeral port; keep the format
   // stable and flush so it is visible before the bench body starts.
   std::fprintf(stderr, "stats: serving http://127.0.0.1:%d/metrics\n",

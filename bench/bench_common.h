@@ -19,9 +19,9 @@
 //   ATMX_GIT_SHA    recorded verbatim in the report ("unknown" if unset)
 //   ATMX_STATS_PORT when set (and ATMX_OBS=ON): serve live stats on
 //                   127.0.0.1:<port> (0 = ephemeral; the bound port is
-//                   printed on stderr), start the windowed-rate sampler,
-//                   and install the crash flight recorder
-//   ATMX_STATS_PERIOD_MS  sampler tick period (default 250)
+//                   printed on stderr) and install the crash flight
+//                   recorder
+//   ATMX_STATS_PERIOD_MS  flight-recorder refresh period (default 250)
 //   ATMX_STATS_LINGER     seconds to keep serving after the bench body
 //                         finishes, so short runs stay scrape-able in CI
 //   ATMX_FLIGHT     1/0 — install the flight recorder independently of
@@ -196,12 +196,12 @@ void MaybeEnableBenchReport(const std::string& bench_name, int argc,
 // Scans argv for `--stats-port=<port>` (ATMX_STATS_PORT as fallback) and,
 // on a match, starts the embedded stats server on 127.0.0.1 (port 0 =
 // ephemeral; the bound port is announced on stderr as
-// `stats: serving http://127.0.0.1:<port>/metrics`), the windowed-rate
-// sampler (ATMX_STATS_PERIOD_MS), and the crash flight recorder
+// `stats: serving http://127.0.0.1:<port>/metrics`) and installs the
+// crash flight recorder, refreshing every ATMX_STATS_PERIOD_MS
 // (suppressible via ATMX_FLIGHT=0; ATMX_FLIGHT=1 installs it even without
-// a stats port). An atexit hook lingers ATMX_STATS_LINGER seconds and
-// stops sampler + server in order. Under ATMX_OBS=OFF this warns and does
-// nothing.
+// a stats port). An atexit hook lingers ATMX_STATS_LINGER seconds, then
+// uninstalls the recorder (stopping its refresh thread) and stops the
+// server. Under ATMX_OBS=OFF this warns and does nothing.
 void MaybeStartStatsServer(int argc, char** argv);
 
 // One-call telemetry init for bench main()s: MaybeEnableTracing +

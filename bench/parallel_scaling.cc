@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
   bool skew = false;
   // --repeat=N re-runs the selected workload N times: a long-lived
   // process for live-scrape / flight-recorder scenarios (CI polls
-  // /metrics between repetitions and expects rate.* gauges to move).
+  // /metrics until flight.refreshes advances, then crashes the process).
   int repeat = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--skew") == 0) skew = true;

@@ -2,10 +2,12 @@
 // the process being observed. Cases (reported via --bench-out, gated in CI
 // against bench/baselines/BENCH_telemetry_bench.json):
 //
-//   counter_hot_loop_unsampled  relaxed Counter::Increment loop, sampler off
-//   counter_hot_loop_sampled    same loop with the windowed-rate sampler
-//                               ticking every 5 ms — the headline number:
-//                               sampling must not tax instrumented hot paths
+//   counter_hot_loop_unsampled  relaxed Counter::Increment loop, flight
+//                               recorder off
+//   counter_hot_loop_sampled    same loop with the flight recorder
+//                               refreshing every 5 ms — the headline
+//                               number: refreshing must not tax
+//                               instrumented hot paths
 //   registry_snapshot           MetricsRegistry::Snapshot of a realistic
 //                               registry shape (counters+gauges+histogram)
 //   render_openmetrics          OpenMetrics text rendering of that snapshot
@@ -20,7 +22,7 @@
 #include <chrono>
 
 #include "obs/exposition.h"
-#include "obs/snapshot_ring.h"
+#include "obs/flight_recorder.h"
 #include "obs/stats_server.h"
 #endif
 
@@ -58,17 +60,23 @@ int main(int argc, char** argv) {
   const double unsampled =
       reporter.MeasureCase("counter_hot_loop_unsampled", hot_loop);
 
-  atmx::obs::SnapshotSampler sampler;
-  atmx::obs::SnapshotSampler::Options sampler_options;
-  sampler_options.period = std::chrono::milliseconds(5);
-  atmx::Status status = sampler.Start(sampler_options);
+  // A recorder installed from the environment is replaced for the timed
+  // window, so the refresh period is the one measured here.
+  atmx::obs::FlightRecorder& flight = atmx::obs::FlightRecorder::Global();
+  flight.Uninstall();
+  atmx::obs::FlightRecorder::Options flight_options;
+  flight_options.refresh_period = std::chrono::milliseconds(5);
+  atmx::Status status = flight.Install(flight_options);
   if (!status.ok()) {
     std::fprintf(stderr, "telemetry_bench: %s\n", status.ToString().c_str());
     return 1;
   }
+  atmx::obs::Counter& refreshes = registry.GetCounter("flight.refreshes");
+  const std::uint64_t refreshes_before = refreshes.Value();
   const double sampled =
       reporter.MeasureCase("counter_hot_loop_sampled", hot_loop);
-  sampler.Stop();
+  flight.Uninstall();
+  const std::uint64_t refreshes_during = refreshes.Value() - refreshes_before;
 
   const double snapshot_seconds =
       reporter.MeasureCase("registry_snapshot", [&] {
@@ -94,9 +102,9 @@ int main(int argc, char** argv) {
         }
       });
 
-  std::printf("counter increment, sampler off : %8.3f ns/op\n",
+  std::printf("counter increment, flight off  : %8.3f ns/op\n",
               unsampled / kOps * 1e9);
-  std::printf("counter increment, sampler 5ms : %8.3f ns/op  (%+.1f%%)\n",
+  std::printf("counter increment, flight 5ms  : %8.3f ns/op  (%+.1f%%)\n",
               sampled / kOps * 1e9,
               unsampled > 0.0 ? 100.0 * (sampled / unsampled - 1.0) : 0.0);
   std::printf("registry snapshot              : %8.3f us\n",
@@ -107,10 +115,10 @@ int main(int argc, char** argv) {
               handle_seconds / 100 * 1e6);
   std::printf(
       "\nShape check: the sampled hot loop should run within noise of the "
-      "unsampled one — the sampler's per-tick cost is a registry snapshot "
-      "on its own thread, never a tax on update paths.\n");
-  std::printf("sampler ticks during the timed window: %llu\n",
-              static_cast<unsigned long long>(sampler.ticks()));
+      "unsampled one — the flight recorder's per-tick cost is a dump "
+      "render on its own thread, never a tax on update paths.\n");
+  std::printf("flight refreshes during the timed window: %llu\n",
+              static_cast<unsigned long long>(refreshes_during));
   return 0;
 #endif
 }

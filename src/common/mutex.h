@@ -9,10 +9,10 @@
 // inline calls disappear at -O1 — and deliberately narrow: no recursive
 // mutex, no shared (reader/writer) mode, because nothing in the library
 // needs them and a narrow surface keeps the analysis airtight. The one
-// timed primitive is CondVar::WaitFor, which the obs sampler thread needs
-// for its periodic tick. CondVar::Wait/WaitFor take the Mutex they
-// re-acquire, so the analysis knows the capability is held continuously
-// around the wait from the caller's point of view.
+// timed primitive is CondVar::WaitFor, which the flight recorder's
+// refresh thread needs for its periodic tick. CondVar::Wait/WaitFor take
+// the Mutex they re-acquire, so the analysis knows the capability is held
+// continuously around the wait from the caller's point of view.
 
 #ifndef ATMX_COMMON_MUTEX_H_
 #define ATMX_COMMON_MUTEX_H_

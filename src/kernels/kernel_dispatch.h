@@ -35,7 +35,7 @@ const char* KernelMetricName(KernelType type);
 
 // Stable metric-name prefix for the hardware-counter telemetry of one
 // kernel variant ("kernel.<variant>"); the perf layer appends ".cycles",
-// ".llc_miss_rate", ... to it. A static literal, safe to hold.
+// ".llc_misses", ... to it. A static literal, safe to hold.
 const char* KernelPerfMetricPrefix(KernelType type);
 
 }  // namespace atmx

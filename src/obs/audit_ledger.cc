@@ -189,6 +189,7 @@ AuditLedgerDoc AuditLedger::Snapshot() const {
   MutexLock lock(mutex_);
   AuditLedgerDoc copy = doc_;
   copy.git_sha = GitShaFromEnv();
+  copy.unix_time = static_cast<std::int64_t>(std::time(nullptr));
   return copy;
 }
 
@@ -352,8 +353,7 @@ std::string RenderAuditLedgerJson(const AuditLedgerDoc& doc) {
   os << "{\"schema_version\":" << doc.schema_version
      << ",\"kind\":\"atmx_audit_ledger\",\"git_sha\":\""
      << EscapeJson(doc.git_sha.empty() ? GitShaFromEnv() : doc.git_sha)
-     << "\",\"unix_time\":"
-     << static_cast<long long>(std::time(nullptr))
+     << "\",\"unix_time\":" << doc.unix_time
      << ",\"spmm_max_panel_cols\":" << simd::kSpmmMaxPanelCols
      << ",\"dropped\":" << FmtU64(doc.dropped);
   if (doc.have_cost_params) {
@@ -422,6 +422,7 @@ Result<AuditLedgerDoc> ParseAuditLedgerJson(std::string_view text) {
   AuditLedgerDoc doc;
   doc.schema_version = version;
   doc.git_sha = root.StringOr("git_sha", "unknown");
+  doc.unix_time = static_cast<std::int64_t>(root.NumberOr("unix_time", 0.0));
   doc.dropped = U64Field(root, "dropped");
   if (const JsonValue* p = root.Find("cost_params");
       p != nullptr && p->is_object()) {

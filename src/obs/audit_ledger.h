@@ -158,6 +158,7 @@ struct ChainAuditRecord {
 struct AuditLedgerDoc {
   int schema_version = kAuditLedgerSchemaVersion;
   std::string git_sha;
+  std::int64_t unix_time = 0;  // wall clock at Snapshot
   CostParams cost_params;
   bool have_cost_params = false;
   std::uint64_t dropped = 0;  // oldest records evicted by the per-class cap

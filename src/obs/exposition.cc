@@ -1,8 +1,6 @@
 #include "obs/exposition.h"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "obs/json_util.h"
@@ -107,104 +105,6 @@ std::string RenderMetricsJson(const std::vector<MetricSample>& samples) {
   }
   os << '}';
   return os.str();
-}
-
-namespace {
-
-// Advances past one balanced JSON value starting at `i` ('{' or '['),
-// honouring string literals. Returns the index one past the value (or
-// `n` on truncated input).
-std::size_t SkipBalanced(std::string_view s, std::size_t i) {
-  const std::size_t n = s.size();
-  int depth = 0;
-  bool in_string = false;
-  for (; i < n; ++i) {
-    const char c = s[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      --depth;
-      if (depth == 0) return i + 1;
-    }
-  }
-  return n;
-}
-
-// Reads a JSON string starting at the opening quote `i`; appends the
-// unescaped-enough key (escapes kept verbatim except \" and \\) and
-// returns the index one past the closing quote.
-std::size_t ReadString(std::string_view s, std::size_t i, std::string* out) {
-  const std::size_t n = s.size();
-  ++i;  // opening quote
-  for (; i < n; ++i) {
-    const char c = s[i];
-    if (c == '\\' && i + 1 < n) {
-      out->push_back(s[i + 1]);
-      ++i;
-    } else if (c == '"') {
-      return i + 1;
-    } else {
-      out->push_back(c);
-    }
-  }
-  return n;
-}
-
-}  // namespace
-
-std::vector<std::pair<std::string, double>> ExtractTopLevelNumbers(
-    std::string_view json) {
-  std::vector<std::pair<std::string, double>> out;
-  const std::size_t n = json.size();
-  std::size_t i = 0;
-  while (i < n && std::isspace(static_cast<unsigned char>(json[i]))) ++i;
-  if (i >= n || json[i] != '{') return out;
-  ++i;
-  while (i < n) {
-    while (i < n && json[i] != '"' && json[i] != '}') ++i;
-    if (i >= n || json[i] == '}') break;
-    std::string key;
-    i = ReadString(json, i, &key);
-    while (i < n && json[i] != ':') ++i;
-    if (i >= n) break;
-    ++i;  // ':'
-    while (i < n && std::isspace(static_cast<unsigned char>(json[i]))) ++i;
-    if (i >= n) break;
-    const char c = json[i];
-    if (c == '{' || c == '[') {
-      i = SkipBalanced(json, i);
-    } else if (c == '"') {
-      std::string ignored;
-      i = ReadString(json, i, &ignored);
-    } else if (c == '-' || (c >= '0' && c <= '9')) {
-      const std::string number(json.substr(i, 64));
-      char* end = nullptr;
-      const double value = std::strtod(number.c_str(), &end);
-      if (end != number.c_str()) {
-        out.emplace_back(std::move(key), value);
-        i += static_cast<std::size_t>(end - number.c_str());
-      } else {
-        ++i;
-      }
-    } else {
-      // true/false/null: skip the literal.
-      while (i < n && json[i] != ',' && json[i] != '}') ++i;
-    }
-    while (i < n && json[i] != ',' && json[i] != '}') ++i;
-    if (i < n && json[i] == ',') ++i;
-    if (i < n && json[i] == '}') break;
-  }
-  return out;
 }
 
 }  // namespace atmx::obs

@@ -17,7 +17,6 @@
 
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -41,14 +40,6 @@ std::string RenderOpenMetrics(const std::vector<MetricSample>& samples);
 //  "buckets":[..]}, ...} — original (unmangled) names, keys escaped via
 // EscapeJson. MetricsRegistry::ToJson delegates here.
 std::string RenderMetricsJson(const std::vector<MetricSample>& samples);
-
-// Extracts the top-level numeric fields of one flat JSON object (the
-// `/metrics.json` document): every `"key": <number>` pair directly inside
-// the outer object, in document order. Nested objects/arrays (histograms)
-// are skipped wholesale. Forgiving by design — it is the client half of
-// `atmx watch` and must not crash on a truncated scrape.
-std::vector<std::pair<std::string, double>> ExtractTopLevelNumbers(
-    std::string_view json);
 
 }  // namespace atmx::obs
 

@@ -64,6 +64,34 @@ constexpr char kEmptyBody[] =
     "\"mem_high_water_bytes\":0,\"metrics\":{},\"decisions\":[],"
     "\"trace\":{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}";
 
+// Tails kept in the dump (newest last). The full trace ring can be
+// megabytes and the ledger holds up to 64 Ki records per class; a crash
+// dump wants the tail, and rendering everything once per refresh period
+// would make the refresh thread the most expensive one in the process.
+constexpr std::size_t kMaxTraceEvents = 1024;
+constexpr std::size_t kMaxDecisions = 2048;
+
+// The dump body between the prefix and the closing brace.
+std::string RenderBody() {
+  std::vector<TraceEvent> events = TraceRecorder::Global().Snapshot();
+  if (events.size() > kMaxTraceEvents) {
+    events.erase(events.begin(),
+                 events.end() - static_cast<long>(kMaxTraceEvents));
+  }
+  std::string body;
+  body.reserve(1 << 14);
+  body += "\"mem_high_water_bytes\":";
+  body += std::to_string(MemTracker::Global().high_water_bytes());
+  body += ",\"metrics\":";
+  body += MetricsRegistry::Global().ToJson();
+  body += ",\"decisions\":";
+  body +=
+      RenderReprRecordsJson(AuditLedger::Global().NewestRepr(kMaxDecisions));
+  body += ",\"trace\":";
+  body += RenderTraceEventsJson(events);
+  return body;
+}
+
 }  // namespace
 
 FlightRecorder& FlightRecorder::Global() {
@@ -72,6 +100,10 @@ FlightRecorder& FlightRecorder::Global() {
 }
 
 Status FlightRecorder::Install(const Options& options) {
+  if (options.refresh_period.count() <= 0) {
+    return Status::InvalidArgument(
+        "flight recorder refresh_period must be positive");
+  }
   {
     MutexLock lock(mu_);
     if (installed_.load(std::memory_order_relaxed)) {
@@ -85,6 +117,7 @@ Status FlightRecorder::Install(const Options& options) {
     }
     std::memcpy(path_, path.c_str(), path.size() + 1);
     options_ = options;
+    stop_requested_ = false;
     dumped_.store(false, std::memory_order_relaxed);
   }
   installed_.store(true, std::memory_order_release);
@@ -102,11 +135,21 @@ Status FlightRecorder::Install(const Options& options) {
   }
   g_saved_check_hook =
       internal::SetCheckFailureHook(&FlightRecorder::CheckHook);
+  MutexLock lock(mu_);
+  refresher_ = std::thread([this] { RefreshLoop(); });
   return Status::Ok();
 }
 
 void FlightRecorder::Uninstall() {
   if (!installed_.exchange(false, std::memory_order_acq_rel)) return;
+  std::thread refresher;
+  {
+    MutexLock lock(mu_);
+    stop_requested_ = true;
+    refresher = std::move(refresher_);
+  }
+  cv_.NotifyAll();
+  if (refresher.joinable()) refresher.join();
   for (std::size_t i = 0; i < kNumFatalSignals; ++i) {
     ::sigaction(kFatalSignals[i], &g_saved_actions[i], nullptr);
   }
@@ -115,33 +158,26 @@ void FlightRecorder::Uninstall() {
   dumped_.store(false, std::memory_order_relaxed);
 }
 
+void FlightRecorder::RefreshLoop() {
+  Counter& refreshes =
+      MetricsRegistry::Global().GetCounter("flight.refreshes");
+  for (;;) {
+    {
+      MutexLock lock(mu_);
+      if (!stop_requested_) cv_.WaitFor(mu_, options_.refresh_period);
+      if (stop_requested_) return;
+    }
+    // Counted before rendering, so a dump's own flight.refreshes value
+    // is the number of the refresh that produced it.
+    refreshes.Increment();
+    Refresh();
+  }
+}
+
 void FlightRecorder::Refresh() {
   if (!installed()) return;
   if (dumped_.load(std::memory_order_acquire)) return;
-  std::size_t max_events;
-  std::size_t max_decisions;
-  {
-    MutexLock lock(mu_);
-    max_events = options_.max_trace_events;
-    max_decisions = options_.max_decisions;
-  }
-
-  std::vector<TraceEvent> events = TraceRecorder::Global().Snapshot();
-  if (events.size() > max_events) {
-    events.erase(events.begin(),
-                 events.end() - static_cast<long>(max_events));
-  }
-  std::string body;
-  body.reserve(1 << 14);
-  body += "\"mem_high_water_bytes\":";
-  body += std::to_string(MemTracker::Global().high_water_bytes());
-  body += ",\"metrics\":";
-  body += MetricsRegistry::Global().ToJson();
-  body += ",\"decisions\":";
-  body +=
-      RenderReprRecordsJson(AuditLedger::Global().NewestRepr(max_decisions));
-  body += ",\"trace\":";
-  body += RenderTraceEventsJson(events);
+  std::string body = RenderBody();
 
   MutexLock lock(mu_);
   // A dump may have started while rendering; the buffer active_ points at
@@ -160,9 +196,11 @@ Status FlightRecorder::DumpNow(const std::string& reason) {
   if (!installed()) {
     return Status::Internal("flight recorder not installed");
   }
-  Refresh();
+  // A private body: the published buffers belong to the refresh thread
+  // and the handlers.
+  const std::string body = RenderBody();
   const std::string safe_reason = EscapeJson(reason);
-  if (!WriteDumpFile(0, safe_reason.c_str())) {
+  if (!WriteDumpFile(0, safe_reason.c_str(), &body)) {
     return Status::IoError(std::string("failed writing flight dump: ") +
                            path_);
   }
@@ -187,12 +225,12 @@ void FlightRecorder::CheckHook() {
 
 void FlightRecorder::DumpFromHandler(int sig, const char* reason) {
   if (dumped_.exchange(true, std::memory_order_acq_rel)) return;
-  (void)WriteDumpFile(sig, reason);
+  (void)WriteDumpFile(sig, reason, active_.load(std::memory_order_acquire));
 }
 
-bool FlightRecorder::WriteDumpFile(int sig, const char* reason) {
+bool FlightRecorder::WriteDumpFile(int sig, const char* reason,
+                                   const std::string* body) {
   if (path_[0] == '\0') return false;
-  const std::string* body = active_.load(std::memory_order_acquire);
   const int fd = ::open(path_, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
   char prefix[192];

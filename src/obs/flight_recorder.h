@@ -7,9 +7,10 @@
 //
 // Async-signal-safety strategy: nothing is rendered in the handler. A
 // full JSON body is pre-rendered into one of two double-buffered strings
-// by Refresh() — called at Install and then once per sampler tick
-// (snapshot_ring.h), so the dump is at most one period stale — and
-// published through a single atomic pointer. The handler only: sets an
+// by Refresh() — called at Install and then by the recorder's own refresh
+// thread once per Options::refresh_period, so the dump lags by at most
+// one period plus one render — and published through a single atomic
+// pointer. Each tick bumps the `flight.refreshes` counter. The handler only: sets an
 // atomic dumped flag, loads that pointer, composes a small prefix
 // (`{"flight_schema":1,"pid":..,"signal":..,"reason":"..",`) with a
 // stack itoa, and open(2)/write(2)s prefix + body + `}` to a path that
@@ -27,8 +28,9 @@
 #define ATMX_OBS_FLIGHT_RECORDER_H_
 
 #include <atomic>
-#include <cstddef>
+#include <chrono>
 #include <string>
+#include <thread>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -41,32 +43,31 @@ class FlightRecorder {
   struct Options {
     // Directory receiving atmx_flight_<pid>.json.
     std::string output_dir = ".";
-    // Trace events kept in the dump (newest last). The full ring can be
-    // megabytes; a crash dump wants the tail.
-    std::size_t max_trace_events = 1024;
-    // Audit-ledger repr records kept in the dump (newest last), for the
-    // same reason: the ledger holds up to 64 Ki records per class, and
-    // Refresh runs once per sampler tick — rendering all of them there
-    // would make the sampler the most expensive thread in the process.
-    std::size_t max_decisions = 2048;
+    // Tick period of the refresh thread; a crash dump lags the live
+    // state by at most this plus one render.
+    std::chrono::milliseconds refresh_period{250};
   };
 
   static FlightRecorder& Global();
 
   FlightRecorder() = default;
+  ~FlightRecorder() { Uninstall(); }
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   // Pre-renders the dump path and first body, installs handlers for the
   // fatal signals (SIGSEGV/SIGABRT/SIGBUS/SIGFPE/SIGILL) and the
-  // ATMX_CHECK failure hook. Internal if already installed; IoError if a
-  // handler cannot be installed. The no-argument overload uses default
-  // Options (a default argument would need Options' NSDMIs complete
-  // inside the enclosing class, which gcc rejects).
+  // ATMX_CHECK failure hook, and starts the refresh thread.
+  // InvalidArgument on a non-positive refresh_period or an overlong path;
+  // Internal if already installed; IoError if a handler cannot be
+  // installed. The no-argument overload uses default Options (a default
+  // argument would need Options' NSDMIs complete inside the enclosing
+  // class, which gcc rejects).
   [[nodiscard]] Status Install(const Options& options);
   [[nodiscard]] Status Install() { return Install(Options()); }
 
-  // Restores the saved signal dispositions and check hook. Test support.
+  // Stops and joins the refresh thread, then restores the saved signal
+  // dispositions and check hook. No-op when not installed.
   void Uninstall();
 
   bool installed() const {
@@ -92,16 +93,22 @@ class FlightRecorder {
   static void SignalHandler(int sig);
   static void CheckHook();
 
-  // The handler body: claims the dumped flag, writes the file. `sig` 0
-  // for the check-failure path. Async-signal-safe.
+  // The refresh thread: Refresh() once per refresh_period until
+  // Uninstall.
+  void RefreshLoop();
+
+  // The handler body: claims the dumped flag, writes the published body.
+  // `sig` 0 for the check-failure path. Async-signal-safe.
   void DumpFromHandler(int sig, const char* reason);
 
-  // Writes prefix + active body + "}" to path_. Returns false on any
-  // short write / open failure. Async-signal-safe.
-  bool WriteDumpFile(int sig, const char* reason);
+  // Writes prefix + `body` (the empty schema when null) + "}" to path_.
+  // Returns false on any short write / open failure. Async-signal-safe.
+  bool WriteDumpFile(int sig, const char* reason, const std::string* body);
 
   mutable Mutex mu_;
+  CondVar cv_;
   Options options_ ATMX_GUARDED_BY(mu_);
+  bool stop_requested_ ATMX_GUARDED_BY(mu_) = false;
   // Double buffer: Refresh renders into the string active_ does not point
   // at, then publishes it. The handler reads only through active_.
   std::string bodies_[2] ATMX_GUARDED_BY(mu_);
@@ -115,6 +122,9 @@ class FlightRecorder {
   // Pre-rendered NUL-terminated dump path; written once during Install
   // (before any handler can run), read lock-free by the handler.
   char path_[512] = {0};
+
+  // Last, so it is declared after everything RefreshLoop touches.
+  std::thread refresher_ ATMX_GUARDED_BY(mu_);
 };
 
 }  // namespace atmx::obs

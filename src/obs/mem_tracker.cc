@@ -1,8 +1,5 @@
 #include "obs/mem_tracker.h"
 
-#include <cstdio>
-#include <cstring>
-
 #include "obs/metrics.h"
 
 namespace atmx::obs {
@@ -48,34 +45,6 @@ void MemTracker::ResetForTesting() {
   current_.store(0, std::memory_order_relaxed);
   high_water_.store(0, std::memory_order_relaxed);
   PublishGauges();
-}
-
-MemTracker::ProcessSample MemTracker::SampleProcess() {
-  ProcessSample sample;
-#if defined(__linux__)
-  std::FILE* status = std::fopen("/proc/self/status", "r");
-  if (status == nullptr) return sample;
-  char line[256];
-  while (std::fgets(line, sizeof(line), status) != nullptr) {
-    unsigned long long kib = 0;
-    if (std::sscanf(line, "VmRSS: %llu kB", &kib) == 1) {
-      sample.rss_bytes = kib * 1024ull;
-    } else if (std::sscanf(line, "VmHWM: %llu kB", &kib) == 1) {
-      sample.rss_peak_bytes = kib * 1024ull;
-    }
-  }
-  std::fclose(status);
-  sample.valid = sample.rss_bytes > 0 || sample.rss_peak_bytes > 0;
-  if (sample.valid) {
-    MetricsRegistry::Global()
-        .GetGauge("mem.rss_bytes")
-        .Set(static_cast<double>(sample.rss_bytes));
-    MetricsRegistry::Global()
-        .GetGauge("mem.rss_high_water_bytes")
-        .Set(static_cast<double>(sample.rss_peak_bytes));
-  }
-#endif
-  return sample;
 }
 
 }  // namespace atmx::obs

@@ -1,5 +1,6 @@
 // Process-wide memory telemetry: a logical allocation tracker with a
-// monotonic high-water mark, plus /proc-based RSS sampling.
+// monotonic high-water mark. Process RSS is the kernel's number, not the
+// library's: readers take it from getrusage (`atmx profile` does).
 //
 // The logical tracker follows the *operator-transient* footprint: ATMULT
 // records each produced result tile and every JIT-converted tile copy as
@@ -48,17 +49,6 @@ class MemTracker {
 
   // Zeroes both values and republishes the gauges. Testing only.
   void ResetForTesting();
-
-  // Kernel-reported process memory, read from /proc/self/status.
-  struct ProcessSample {
-    bool valid = false;
-    std::uint64_t rss_bytes = 0;      // VmRSS
-    std::uint64_t rss_peak_bytes = 0; // VmHWM
-  };
-
-  // Samples the kernel view and publishes mem.rss_bytes /
-  // mem.rss_high_water_bytes. Invalid (all zero) off Linux.
-  static ProcessSample SampleProcess();
 
  private:
   MemTracker() = default;

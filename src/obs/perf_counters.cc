@@ -224,31 +224,6 @@ void AccumulatePerfMetrics(const char* metric_prefix,
     registry.GetCounter(prefix + "." + kCounterNames[slot])
         .Add(delta.value[static_cast<std::size_t>(slot)]);
   }
-  // Derived rates over the accumulated totals (not this delta alone), so
-  // the gauges converge as samples accumulate.
-  if (delta.has(PerfCounterId::kLlcLoads) &&
-      delta.has(PerfCounterId::kLlcMisses)) {
-    const std::uint64_t loads =
-        registry.GetCounter(prefix + ".llc_loads").Value();
-    const std::uint64_t misses =
-        registry.GetCounter(prefix + ".llc_misses").Value();
-    if (loads > 0) {
-      registry.GetGauge(prefix + ".llc_miss_rate")
-          .Set(static_cast<double>(misses) / static_cast<double>(loads));
-    }
-  }
-  if (delta.has(PerfCounterId::kCycles) &&
-      delta.has(PerfCounterId::kInstructions)) {
-    const std::uint64_t cycles =
-        registry.GetCounter(prefix + ".cycles").Value();
-    const std::uint64_t instructions =
-        registry.GetCounter(prefix + ".instructions").Value();
-    if (cycles > 0) {
-      registry.GetGauge(prefix + ".ipc")
-          .Set(static_cast<double>(instructions) /
-               static_cast<double>(cycles));
-    }
-  }
 }
 
 ScopedPerfSpan::ScopedPerfSpan(const char* category, const char* name,

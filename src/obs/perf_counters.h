@@ -2,10 +2,11 @@
 // LLC loads/misses, dTLB misses, and task-clock, read per-thread with RAII
 // scoped attribution. Counter deltas are attached as args to the trace
 // spans the rest of the obs layer already emits, and accumulated into
-// per-kernel-variant metrics (`kernel.<variant>.cycles`,
-// `kernel.<variant>.llc_miss_rate`, ...), turning the paper's hardware
+// per-kernel-variant counters (`kernel.<variant>.cycles`,
+// `kernel.<variant>.llc_misses`, ...), turning the paper's hardware
 // claims — LLC-capacity-derived tile sizes, cache-friendly Morton layouts,
-// NUMA-local stealing — into measurable quantities.
+// NUMA-local stealing — into measurable quantities. Ratios (IPC, LLC miss
+// rate) are left to readers, which divide the counters (`atmx profile`).
 //
 // Availability is probed exactly ONCE per process (first use): each
 // counter is opened individually, so a virtualized host without a PMU can
@@ -127,10 +128,9 @@ PerfDelta PerfDeltaSince(const PerfSnapshot& begin);
 void AppendPerfArgs(const PerfDelta& delta, std::vector<TraceArg>* args);
 
 // Accumulates a delta under `metric_prefix` (e.g. "kernel.spspd_gemm"):
-// one counter per present slot (`<prefix>.cycles`, ...) plus the derived
-// gauges `<prefix>.llc_miss_rate` (misses/loads over the accumulated
-// totals) and `<prefix>.ipc`. `metric_prefix` must outlive the call (it
-// is only read, not stored). No-op on an invalid delta.
+// one counter per present slot (`<prefix>.cycles`, ...). `metric_prefix`
+// must outlive the call (it is only read, not stored). No-op on an
+// invalid delta.
 void AccumulatePerfMetrics(const char* metric_prefix, const PerfDelta& delta);
 
 // RAII span with counter attribution: records the same complete trace

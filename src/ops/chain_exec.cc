@@ -799,7 +799,6 @@ ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
   // atmult.waterlevel.predicted_bytes.
   ATMX_GAUGE_SET("atmult.result_bytes",
                  static_cast<double>(result.MemoryBytes()));
-  obs::MemTracker::SampleProcess();
 #endif
   return result;
 }

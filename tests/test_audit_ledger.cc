@@ -482,6 +482,14 @@ TEST(AuditLedgerJson, ReplayIsDeterministic) {
   EXPECT_EQ(text1, text2);
   // Render → parse → render is a fixed point.
   EXPECT_EQ(json, RenderAuditLedgerJson(a.value()));
+  // The render stamps the document's own time, never the clock, so a
+  // replay is byte-identical across a second boundary.
+  auto stamped = ParseAuditLedgerJson(
+      "{\"kind\":\"atmx_audit_ledger\",\"schema_version\":1,"
+      "\"unix_time\":12345}");
+  ASSERT_TRUE(stamped.ok()) << stamped.status().message();
+  EXPECT_NE(std::string::npos, RenderAuditLedgerJson(stamped.value())
+                                   .find("\"unix_time\":12345,"));
 
   // Hand-written ledger: an infeasible water level is counted and
   // rendered; a chain record written before the chain fields existed

@@ -1,34 +1,23 @@
-// Exposition layer: OpenMetrics name mangling and rendering, the flat
-// JSON metrics document (MetricsRegistry::ToJson delegate), the
-// forgiving top-level-number extractor behind `atmx watch`, and the
-// windowed-rate derivation + sampler of obs/snapshot_ring.h.
+// Exposition layer: OpenMetrics name mangling and rendering, and the flat
+// JSON metrics document (MetricsRegistry::ToJson delegate, read back by
+// `atmx watch` through ParseJson).
 
 #include "obs/exposition.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdint>
-#include <map>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "obs/json_util.h"
 #include "obs/metrics.h"
-#include "obs/snapshot_ring.h"
 
 namespace atmx {
 namespace {
 
-using obs::DeriveRates;
-using obs::ExtractTopLevelNumbers;
 using obs::MangleMetricName;
-using obs::MetricSample;
 using obs::MetricsRegistry;
 using obs::RenderMetricsJson;
 using obs::RenderOpenMetrics;
-using obs::TimedSnapshot;
 
 // --- Name mangling. -------------------------------------------------------
 
@@ -124,160 +113,19 @@ TEST(RenderMetricsJsonTest, MatchesRegistryToJson) {
   registry.GetCounter("a.count").Add(3);
   registry.GetGauge("b.gauge").Set(-0.125);
   registry.GetHistogram("c.hist", {1.0}).Observe(0.5);
-  EXPECT_EQ(registry.ToJson(), RenderMetricsJson(registry.Snapshot()));
-}
+  const std::string json = RenderMetricsJson(registry.Snapshot());
+  EXPECT_EQ(registry.ToJson(), json);
 
-// --- ExtractTopLevelNumbers (the `atmx watch` client half). ---------------
-
-TEST(ExtractTopLevelNumbersTest, ReadsNumbersSkipsNested) {
-  const auto pairs = ExtractTopLevelNumbers(
-      "{\"a\":1,\n\"hist\":{\"count\":9,\"buckets\":[1,2]},"
-      "\"b\":-2.5,\"s\":\"x{y}\",\"flag\":true,\"c\":3e2}");
-  const std::map<std::string, double> got(pairs.begin(), pairs.end());
-  const std::map<std::string, double> want = {
-      {"a", 1.0}, {"b", -2.5}, {"c", 300.0}};
-  EXPECT_EQ(got, want);
-}
-
-TEST(ExtractTopLevelNumbersTest, SurvivesTruncatedAndGarbageInput) {
-  EXPECT_TRUE(ExtractTopLevelNumbers("").empty());
-  EXPECT_TRUE(ExtractTopLevelNumbers("not json").empty());
-  EXPECT_TRUE(ExtractTopLevelNumbers("[1,2,3]").empty());
-  // Truncated mid-value: whatever was complete is returned, no crash.
-  const auto pairs = ExtractTopLevelNumbers("{\"a\":1,\"b\":{\"x\":");
-  ASSERT_EQ(pairs.size(), 1u);
-  EXPECT_EQ(pairs[0].first, "a");
-  EXPECT_DOUBLE_EQ(pairs[0].second, 1.0);
-}
-
-TEST(ExtractTopLevelNumbersTest, RoundTripsRenderedRegistry) {
-  MetricsRegistry registry;
-  registry.GetCounter("x.count").Add(11);
-  registry.GetGauge("y.gauge").Set(0.75);
-  registry.GetHistogram("z.hist").Observe(1.0);
-  const auto pairs =
-      ExtractTopLevelNumbers(RenderMetricsJson(registry.Snapshot()));
-  const std::map<std::string, double> got(pairs.begin(), pairs.end());
-  const std::map<std::string, double> want = {
-      {"x.count", 11.0}, {"y.gauge", 0.75}};
-  EXPECT_EQ(got, want);  // the histogram object is skipped wholesale
-}
-
-// --- DeriveRates. ---------------------------------------------------------
-
-MetricSample CounterSample(const std::string& name, std::uint64_t value) {
-  MetricSample s;
-  s.name = name;
-  s.type = MetricSample::Type::kCounter;
-  s.counter_value = value;
-  return s;
-}
-
-TEST(DeriveRatesTest, CounterDeltaOverWindow) {
-  TimedSnapshot older{1'000'000'000, {CounterSample("ops", 100)}};
-  TimedSnapshot newer{3'000'000'000, {CounterSample("ops", 500)}};
-  const auto rates = DeriveRates(older, newer);
-  const std::map<std::string, double> got(rates.begin(), rates.end());
-  ASSERT_TRUE(got.count("rate.ops"));
-  EXPECT_DOUBLE_EQ(got.at("rate.ops"), 200.0);  // 400 over 2 s
-}
-
-TEST(DeriveRatesTest, NewCounterCountsFromZeroAndResetClampsToZero) {
-  TimedSnapshot older{0, {CounterSample("shrunk", 900)}};
-  TimedSnapshot newer{1'000'000'000,
-                      {CounterSample("fresh", 50),
-                       CounterSample("shrunk", 10)}};
-  const auto rates = DeriveRates(older, newer);
-  const std::map<std::string, double> got(rates.begin(), rates.end());
-  EXPECT_DOUBLE_EQ(got.at("rate.fresh"), 50.0);
-  EXPECT_DOUBLE_EQ(got.at("rate.shrunk"), 0.0);  // reset, not negative
-}
-
-TEST(DeriveRatesTest, EmptyOrNegativeWindowYieldsNothing) {
-  TimedSnapshot snap{5'000'000'000, {CounterSample("ops", 1)}};
-  EXPECT_TRUE(DeriveRates(snap, snap).empty());
-  TimedSnapshot earlier{1'000'000'000, {CounterSample("ops", 0)}};
-  EXPECT_TRUE(DeriveRates(snap, earlier).empty());
-}
-
-TEST(DeriveRatesTest, CompositeResultBytesSumsLocalAndRemoteWrites) {
-  TimedSnapshot older{0,
-                      {CounterSample("atmult.bytes.local_write", 100),
-                       CounterSample("atmult.bytes.remote_write", 10)}};
-  TimedSnapshot newer{2'000'000'000,
-                      {CounterSample("atmult.bytes.local_write", 300),
-                       CounterSample("atmult.bytes.remote_write", 110)}};
-  const auto rates = DeriveRates(older, newer);
-  const std::map<std::string, double> got(rates.begin(), rates.end());
-  EXPECT_DOUBLE_EQ(got.at("rate.atmult.result_bytes"), 150.0);
-}
-
-// --- SnapshotSampler. -----------------------------------------------------
-
-TEST(SnapshotSamplerTest, SampleOncePublishesRateGauges) {
-  MetricsRegistry registry;
-  obs::Counter& ops = registry.GetCounter("work.ops");
-  obs::SnapshotSampler sampler;
-  obs::SnapshotSampler::Options options;
-  options.registry = &registry;
-  options.period = std::chrono::minutes(1);  // ticks driven by hand below
-  ASSERT_TRUE(sampler.Start(options).ok());
-  // The seeding sample runs on the sampler thread; wait for it so the
-  // Add lands strictly after the baseline snapshot (else delta == 0).
-  while (sampler.ticks() < 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ops.Add(100);
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  sampler.SampleOnce();
-  sampler.Stop();
-  EXPECT_FALSE(sampler.running());
-  EXPECT_GE(sampler.ticks(), 2u);
-  EXPECT_GT(registry.GetGauge("rate.work.ops").Value(), 0.0);
-  EXPECT_GE(registry.GetCounter("sampler.ticks").Value(), 2u);
-  EXPECT_GT(registry.GetGauge("sampler.window_seconds").Value(), 0.0);
-}
-
-TEST(SnapshotSamplerTest, StartValidatesOptionsAndRejectsDoubleStart) {
-  MetricsRegistry registry;
-  obs::SnapshotSampler sampler;
-  obs::SnapshotSampler::Options options;
-  options.registry = &registry;
-  options.period = std::chrono::milliseconds(0);
-  EXPECT_FALSE(sampler.Start(options).ok());
-  options.period = std::chrono::milliseconds(10);
-  options.ring_capacity = 1;
-  EXPECT_FALSE(sampler.Start(options).ok());
-  options.ring_capacity = 4;
-  ASSERT_TRUE(sampler.Start(options).ok());
-  EXPECT_TRUE(sampler.running());
-  EXPECT_FALSE(sampler.Start(options).ok());
-  sampler.Stop();
-  sampler.Stop();  // idempotent
-  EXPECT_FALSE(sampler.running());
-}
-
-TEST(SnapshotSamplerTest, BackgroundThreadTicksAndRingIsBounded) {
-  MetricsRegistry registry;
-  registry.GetCounter("bg.ops").Add(1);
-  obs::SnapshotSampler sampler;
-  obs::SnapshotSampler::Options options;
-  options.registry = &registry;
-  options.period = std::chrono::milliseconds(2);
-  options.ring_capacity = 3;
-  ASSERT_TRUE(sampler.Start(options).ok());
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (sampler.ticks() < 5 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  sampler.Stop();
-  EXPECT_GE(sampler.ticks(), 5u);
-  const auto history = sampler.History(100);
-  EXPECT_LE(history.size(), 3u);
-  ASSERT_GE(history.size(), 2u);
-  // Oldest first, strictly ordered timeline.
-  EXPECT_LT(history.front().ts_ns, history.back().ts_ns);
+  // `atmx watch` reads the same document back with ParseJson: every
+  // counter and gauge value survives, the histogram stays an object.
+  Result<obs::JsonValue> doc = obs::ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << doc.status().message();
+  EXPECT_DOUBLE_EQ(doc.value().NumberOr("a.count", -1.0), 3.0);
+  EXPECT_DOUBLE_EQ(doc.value().NumberOr("b.gauge", -1.0), -0.125);
+  const obs::JsonValue* hist = doc.value().Find("c.hist");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_TRUE(hist->is_object());
+  EXPECT_DOUBLE_EQ(hist->NumberOr("count", -1.0), 1.0);
 }
 
 }  // namespace

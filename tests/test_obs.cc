@@ -438,16 +438,6 @@ TEST(MemTrackerTest, FreeClampsAtZero) {
   tracker.ResetForTesting();
 }
 
-TEST(MemTrackerTest, ProcessSampleReadsProcStatus) {
-  const obs::MemTracker::ProcessSample sample =
-      obs::MemTracker::SampleProcess();
-  // /proc/self/status exists on every Linux this repo targets.
-  ASSERT_TRUE(sample.valid);
-  EXPECT_GT(sample.rss_bytes, 0u);
-  EXPECT_GE(sample.rss_peak_bytes, sample.rss_bytes);
-  EXPECT_GT(MetricsRegistry::Global().GetGauge("mem.rss_bytes").Value(), 0.0);
-}
-
 TEST(ObsIntegrationTest, AtmultPublishesMemoryGauges) {
   obs::MemTracker& tracker = obs::MemTracker::Global();
   tracker.ResetForTesting();

@@ -1,7 +1,7 @@
 // Hardware-counter layer: one-time availability probe, deterministic stub
 // behaviour when collection is off, synthetic-delta metric accumulation
-// (including the derived rate gauges), and RAII span attribution against
-// live counters where the host provides any.
+// (counters only; readers derive the ratios), and RAII span attribution
+// against live counters where the host provides any.
 
 #include "obs/perf_counters.h"
 
@@ -99,8 +99,9 @@ TEST(PerfCountersTest, DeltaAccessors) {
 }
 
 TEST(PerfCountersTest, AccumulateDerivesRateGauges) {
-  // Synthetic deltas make the rate math deterministic regardless of host
-  // counter availability. Unique prefix: registry counters start at zero.
+  // Synthetic deltas keep the accumulation deterministic regardless of
+  // host counter availability. Unique prefix: registry counters start at
+  // zero.
   PerfDelta delta;
   delta.valid = true;
   delta.present = obs::PerfCounterBit(PerfCounterId::kCycles) |
@@ -113,20 +114,29 @@ TEST(PerfCountersTest, AccumulateDerivesRateGauges) {
   delta.value[static_cast<std::size_t>(PerfCounterId::kLlcMisses)] = 250;
 
   obs::AccumulatePerfMetrics("kernel.rate_test", delta);
-  EXPECT_EQ(CounterValue("kernel.rate_test.cycles"), 2000u);
-  EXPECT_EQ(CounterValue("kernel.rate_test.instructions"), 4000u);
-  EXPECT_EQ(CounterValue("kernel.rate_test.llc_loads"), 1000u);
-  EXPECT_EQ(CounterValue("kernel.rate_test.llc_misses"), 250u);
-  EXPECT_DOUBLE_EQ(GaugeValue("kernel.rate_test.llc_miss_rate"), 0.25);
-  EXPECT_DOUBLE_EQ(GaugeValue("kernel.rate_test.ipc"), 2.0);
-
-  // A second accumulation converges the gauges on the running totals.
   delta.value[static_cast<std::size_t>(PerfCounterId::kLlcMisses)] = 750;
   delta.value[static_cast<std::size_t>(PerfCounterId::kInstructions)] = 0;
   obs::AccumulatePerfMetrics("kernel.rate_test", delta);
-  EXPECT_DOUBLE_EQ(GaugeValue("kernel.rate_test.llc_miss_rate"),
-                   1000.0 / 2000.0);
-  EXPECT_DOUBLE_EQ(GaugeValue("kernel.rate_test.ipc"), 1.0);
+
+  // Each present slot accumulates into its own counter; absent slots
+  // register nothing.
+  EXPECT_EQ(CounterValue("kernel.rate_test.cycles"), 4000u);
+  EXPECT_EQ(CounterValue("kernel.rate_test.instructions"), 4000u);
+  EXPECT_EQ(CounterValue("kernel.rate_test.llc_loads"), 2000u);
+  EXPECT_EQ(CounterValue("kernel.rate_test.llc_misses"), 1000u);
+
+  // IPC and the LLC miss rate are the reader's division of those
+  // counters: the layer registers no derived gauge.
+  std::size_t registered = 0;
+  for (const obs::MetricSample& sample :
+       MetricsRegistry::Global().Snapshot()) {
+    if (sample.name.rfind("kernel.rate_test.", 0) != 0) continue;
+    ++registered;
+    EXPECT_EQ(sample.type, obs::MetricSample::Type::kCounter) << sample.name;
+    EXPECT_NE(sample.name, "kernel.rate_test.llc_miss_rate");
+    EXPECT_NE(sample.name, "kernel.rate_test.ipc");
+  }
+  EXPECT_EQ(registered, 4u);
 }
 
 TEST(PerfCountersTest, ScopedSpanDegradesToPlainTimingSpan) {

@@ -47,6 +47,7 @@
 #include <utility>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "common/config.h"
@@ -56,7 +57,7 @@
 #include "obs/obs.h"
 #if defined(ATMX_OBS_ENABLED)
 #include "obs/audit_ledger.h"
-#include "obs/exposition.h"
+#include "obs/json_util.h"
 #include "obs/stats_server.h"
 #endif
 #include "ops/atmult.h"
@@ -471,21 +472,32 @@ int CmdProfile(const std::string& a_path, const std::string& b_path) {
     const std::uint64_t cycles = counter(prefix + ".cycles");
     const std::uint64_t instructions = counter(prefix + ".instructions");
     const std::uint64_t llc_loads = counter(prefix + ".llc_loads");
+    const std::uint64_t llc_misses = counter(prefix + ".llc_misses");
     const std::uint64_t task_clock = counter(prefix + ".task_clock_ns");
     if (invocations == 0 && cycles == 0 && task_clock == 0) continue;
     table.AddRow(
         {variant, std::to_string(invocations), std::to_string(cycles),
          std::to_string(instructions),
-         cycles > 0 ? TablePrinter::Fmt(gauge(prefix + ".ipc"), 2)
+         cycles > 0 ? TablePrinter::Fmt(static_cast<double>(instructions) /
+                                            static_cast<double>(cycles),
+                                        2)
                     : std::string("-"),
          std::to_string(llc_loads),
          llc_loads > 0
-             ? TablePrinter::Fmt(gauge(prefix + ".llc_miss_rate") * 100.0, 2)
+             ? TablePrinter::Fmt(100.0 * static_cast<double>(llc_misses) /
+                                     static_cast<double>(llc_loads),
+                                 2)
              : std::string("-"),
          TablePrinter::Fmt(static_cast<double>(task_clock) / 1e6, 3)});
   }
   table.Print();
 
+  // Peak RSS is the kernel's number; ru_maxrss is in KiB on Linux.
+  rusage usage{};
+  const std::size_t rss_peak_bytes =
+      getrusage(RUSAGE_SELF, &usage) == 0
+          ? static_cast<std::size_t>(usage.ru_maxrss) * 1024
+          : 0;
   std::printf("\nmemory: tracked high-water %s (current %s), "
               "rss high-water %s\n",
               TablePrinter::FmtBytes(
@@ -494,9 +506,7 @@ int CmdProfile(const std::string& a_path, const std::string& b_path) {
               TablePrinter::FmtBytes(
                   static_cast<std::size_t>(gauge("mem.current_bytes")))
                   .c_str(),
-              TablePrinter::FmtBytes(static_cast<std::size_t>(
-                                         gauge("mem.rss_high_water_bytes")))
-                  .c_str());
+              TablePrinter::FmtBytes(rss_peak_bytes).c_str());
   std::printf("water-level: predicted %s, result %s\n",
               TablePrinter::FmtBytes(static_cast<std::size_t>(
                                          gauge("atmult.waterlevel."
@@ -524,11 +534,18 @@ struct WatchSample {
   std::map<std::string, double> values;
 };
 
-WatchSample MakeWatchSample(const std::string& body) {
+// Every top-level number of one /metrics.json body; histograms are
+// objects and stay out of the table.
+Result<WatchSample> MakeWatchSample(const std::string& body) {
+  Result<obs::JsonValue> doc = obs::ParseJson(body);
+  if (!doc.ok()) return doc.status();
+  if (!doc.value().is_object()) {
+    return Status::InvalidArgument("document is not a JSON object");
+  }
   WatchSample sample;
   sample.when = std::chrono::steady_clock::now();
-  for (auto& [name, value] : obs::ExtractTopLevelNumbers(body)) {
-    sample.values.emplace(std::move(name), value);
+  for (const auto& [name, value] : doc.value().members) {
+    if (value.is_number()) sample.values.emplace(name, value.number_value);
   }
   return sample;
 }
@@ -577,16 +594,22 @@ int CmdWatch(const std::string& url, int interval_ms, int count) {
       }
       return 1;
     }
+    Result<WatchSample> parsed_sample = MakeWatchSample(body.value());
+    if (!parsed_sample.ok()) {
+      std::fprintf(stderr, "error: watch: malformed %s (%s)\n",
+                   target.path.c_str(),
+                   parsed_sample.status().ToString().c_str());
+      return 1;
+    }
     ++successful_scrapes;
-    WatchSample sample = MakeWatchSample(body.value());
+    WatchSample sample = std::move(parsed_sample).value();
 
     if (previous) {
       const double dt =
           std::chrono::duration<double>(sample.when - previous->when)
               .count();
       // Rows: every metric that moved since the last scrape, with a
-      // client-side delta/s; the server's own windowed `rate.*` gauges
-      // ride along even when momentarily flat so the table keeps shape.
+      // client-side delta/s.
       struct Row {
         const std::string* name;
         double value;
@@ -597,10 +620,8 @@ int CmdWatch(const std::string& url, int interval_ms, int count) {
         const auto old = previous->values.find(name);
         const double delta =
             old != previous->values.end() ? value - old->second : value;
-        const bool is_server_rate = name.rfind("rate.", 0) == 0;
-        if (delta == 0.0 && !is_server_rate) continue;
-        rows.push_back(
-            {&name, value, is_server_rate || dt <= 0.0 ? 0.0 : delta / dt});
+        if (delta == 0.0) continue;
+        rows.push_back({&name, value, dt > 0.0 ? delta / dt : 0.0});
       }
       std::stable_sort(rows.begin(), rows.end(),
                        [](const Row& a, const Row& b) {
@@ -615,12 +636,8 @@ int CmdWatch(const std::string& url, int interval_ms, int count) {
                   tick, dt, shown, rows.size());
       TablePrinter table({"metric", "value", "delta/s"});
       for (std::size_t i = 0; i < shown; ++i) {
-        // Server-derived rate.* gauges already are per-second rates;
-        // the delta/s column would just be their second derivative.
         table.AddRow({*rows[i].name, FmtWatchValue(rows[i].value),
-                      rows[i].name->rfind("rate.", 0) == 0
-                          ? std::string("-")
-                          : TablePrinter::Fmt(rows[i].rate, 1)});
+                      TablePrinter::Fmt(rows[i].rate, 1)});
       }
       table.Print();
       if (rows.empty()) std::printf("(idle: no metric moved)\n");

@@ -3,7 +3,7 @@
 
 Launches a bench with ATMX_STATS_PORT=0, parses the stderr announcement
 (`stats: serving http://127.0.0.1:<port>/metrics`) for the ephemeral
-port, and then validates one of three contracts:
+port, and then validates one of two contracts:
 
   scrape   /healthz answers ok, /metrics is well-formed OpenMetrics
            (TYPE lines, charset-clean names, cumulative histogram
@@ -15,12 +15,9 @@ port, and then validates one of three contracts:
            histogram-valued keys such as estimator.err.* the floor is
            checked against the observation count).
 
-  rates    two /metrics.json scrapes taken mid-run must both carry
-           rate.* gauges, at least one of which changes between them,
-           and sampler.ticks must advance — i.e. the windowed-rate
-           sampler is actually sampling a live process.
-
-  flight   a SIGSEGV delivered mid-run must leave a parseable
+  flight   once the process is busy and flight.refreshes has advanced
+           twice (the recorder re-rendered its dump after the work
+           began), a SIGSEGV must leave a parseable
            atmx_flight_<pid>.json containing the schema marker, the
            fatal signal number, a non-empty metrics snapshot, decision
            entries, and trace events.
@@ -300,47 +297,6 @@ def mode_scrape(args: argparse.Namespace) -> None:
         bench.kill_and_reap()
 
 
-def mode_rates(args: argparse.Namespace) -> None:
-    bench = Bench(args.command, stats_env(args))
-    try:
-        port = bench.wait_port(args.timeout)
-        # rate.* gauges exist from the sampler's second tick on; poll for
-        # them before taking the first of the two compared scrapes.
-        deadline = time.monotonic() + args.timeout
-        while True:
-            first = get_json(port)
-            if any(k.startswith("rate.") for k in first):
-                break
-            if time.monotonic() >= deadline:
-                raise Fail("no rate.* gauges appeared; is the sampler "
-                           "running?")
-            if bench.proc.poll() is not None:
-                raise Fail("bench exited before rate.* gauges appeared")
-            time.sleep(args.period_ms / 1000.0)
-        time.sleep(args.gap)
-        if bench.proc.poll() is not None:
-            raise Fail("bench exited before the second scrape; increase "
-                       "--repeat on the bench command")
-        second = get_json(port)
-
-        for label, doc in (("first", first), ("second", second)):
-            if not any(k.startswith("rate.") for k in doc):
-                raise Fail(f"{label} scrape carries no rate.* gauges")
-        changed = [k for k in second
-                   if k.startswith("rate.") and first.get(k) != second[k]]
-        if not changed:
-            raise Fail("no rate.* gauge changed between two mid-run "
-                       "scrapes taken {:.1f}s apart".format(args.gap))
-        ticks = ("sampler.ticks" in first and "sampler.ticks" in second
-                 and second["sampler.ticks"] > first["sampler.ticks"])
-        if not ticks:
-            raise Fail("sampler.ticks did not advance between scrapes")
-        print(f"rates: ok ({len(changed)} rate gauges moved, e.g. "
-              f"{changed[0]})")
-    finally:
-        bench.kill_and_reap()
-
-
 def mode_flight(args: argparse.Namespace) -> None:
     workdir = tempfile.mkdtemp(prefix="atmx_flight_test_")
     env = stats_env(args)
@@ -353,22 +309,23 @@ def mode_flight(args: argparse.Namespace) -> None:
     bench = Bench(command, env, cwd=workdir)
     try:
         port = bench.wait_port(args.timeout)
-        # Wait until the process has observable work AND the sampler has
-        # refreshed the flight buffers at least twice since that work.
+        # Wait until the process has observable work AND the recorder has
+        # refreshed its dump at least twice since that work.
         deadline = time.monotonic() + args.timeout
-        armed_ticks = None
+        armed_refreshes = None
         while time.monotonic() < deadline:
             if bench.proc.poll() is not None:
                 raise Fail("bench exited before the crash was injected; "
                            "increase --repeat on the bench command")
             doc = get_json(port)
-            busy = any(not k.startswith(("rate.", "sampler."))
+            busy = any(not k.startswith("flight.")
                        and isinstance(v, (int, float)) and v > 0
                        for k, v in doc.items())
-            ticks = doc.get("sampler.ticks", 0)
-            if busy and armed_ticks is None:
-                armed_ticks = ticks
-            if armed_ticks is not None and ticks >= armed_ticks + 2:
+            refreshes = doc.get("flight.refreshes", 0)
+            if busy and armed_refreshes is None:
+                armed_refreshes = refreshes
+            if (armed_refreshes is not None
+                    and refreshes >= armed_refreshes + 2):
                 break
             time.sleep(args.period_ms / 1000.0)
         else:
@@ -408,7 +365,7 @@ def mode_flight(args: argparse.Namespace) -> None:
         bench.kill_and_reap()
 
 
-MODES = {"scrape": mode_scrape, "rates": mode_rates, "flight": mode_flight}
+MODES = {"scrape": mode_scrape, "flight": mode_flight}
 
 
 def parse_metric_floor(spec: str) -> Tuple[str, float]:
@@ -428,17 +385,16 @@ def parse_metric_floor(spec: str) -> Tuple[str, float]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0],
-        usage="%(prog)s {scrape,rates,flight} [options] -- command ...")
+        usage="%(prog)s {scrape,flight} [options] -- command ...")
     parser.add_argument("mode", choices=sorted(MODES))
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="seconds to wait for the stats announcement "
                              "and for mid-run states (default 60)")
     parser.add_argument("--period-ms", type=int, default=50,
-                        help="ATMX_STATS_PERIOD_MS for the child")
+                        help="ATMX_STATS_PERIOD_MS (flight refresh period) "
+                             "for the child")
     parser.add_argument("--linger", type=int, default=5,
                         help="ATMX_STATS_LINGER for the child")
-    parser.add_argument("--gap", type=float, default=1.5,
-                        help="rates: seconds between the two scrapes")
     parser.add_argument("--min-families", type=int, default=5,
                         help="scrape: minimum OpenMetrics families")
     parser.add_argument("--require-metric", action="append", default=[],
