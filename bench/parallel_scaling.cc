@@ -40,8 +40,7 @@ void Run() {
            {1, 1}, {1, 2}, {1, 4}, {2, 1}, {2, 2}, {4, 1}, {4, 2}}) {
     AtmConfig config = env.config;
     config.num_sockets = teams;
-    config.num_worker_teams = teams;
-    config.threads_per_team = threads;
+    config.cores_per_socket = threads;
 
     // Placement happens at partitioning time (tile-rows round-robin over
     // the configured sockets), so re-partition per topology.
@@ -108,8 +107,7 @@ void RunSkew() {
   for (const bool stealing : {false, true}) {
     AtmConfig config = base_config;
     config.num_sockets = teams;
-    config.num_worker_teams = teams;
-    config.threads_per_team = threads;
+    config.cores_per_socket = threads;
     config.work_stealing = stealing;
     ATMatrix atm = PartitionToAtm(coo, config);
     if (!stealing) {

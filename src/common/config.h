@@ -83,9 +83,6 @@ struct AtmConfig {
   bool fused_chains = true;
 
   // --- Parallelism (section III-F) ---------------------------------------
-  // 0 means "one team per socket" / "cores_per_socket threads per team".
-  int num_worker_teams = 0;
-  int threads_per_team = 0;
   // Locality-aware work stealing in the team scheduler: home queues are
   // drained longest-task-first (ordered by the cost model) and an idle
   // team steals whole tile tasks from the tail of the NUMA-nearest
@@ -100,12 +97,10 @@ struct AtmConfig {
   // two so tiles stay aligned to the quadtree grid.
   index_t MaxDenseTileSize() const;
 
-  int EffectiveTeams() const {
-    return num_worker_teams > 0 ? num_worker_teams : num_sockets;
-  }
-  int EffectiveThreadsPerTeam() const {
-    return threads_per_team > 0 ? threads_per_team : cores_per_socket;
-  }
+  // One worker team per socket (the partitioner places tiles by
+  // num_sockets), cores_per_socket threads per team.
+  int EffectiveTeams() const { return num_sockets; }
+  int EffectiveThreadsPerTeam() const { return cores_per_socket; }
 
   std::string ToString() const;
 };

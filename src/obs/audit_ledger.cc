@@ -57,37 +57,7 @@ int KernelFromName(std::string_view name) {
   return -1;
 }
 
-// Recovers the {a,b,c} representation bits a KernelType encodes.
-bool DecodeKernel(int kernel, bool* a_dense, bool* b_dense, bool* c_dense) {
-  for (int a = 0; a < 2; ++a) {
-    for (int b = 0; b < 2; ++b) {
-      for (int c = 0; c < 2; ++c) {
-        if (static_cast<int>(MakeKernelType(a != 0, b != 0, c != 0)) ==
-            kernel) {
-          *a_dense = a != 0;
-          *b_dense = b != 0;
-          *c_dense = c != 0;
-          return true;
-        }
-      }
-    }
-  }
-  return false;
-}
-
 }  // namespace
-
-bool ReprAuditRecord::a_converted() const {
-  bool a_dense = false, b_dense = false, c = false;
-  return DecodeKernel(kernel, &a_dense, &b_dense, &c) &&
-         a_dense != a_stored_dense && !a_cached;
-}
-
-bool ReprAuditRecord::b_converted() const {
-  bool a_dense = false, b_dense = false, c = false;
-  return DecodeKernel(kernel, &a_dense, &b_dense, &c) &&
-         b_dense != b_stored_dense && !b_cached;
-}
 
 double SymmetricRelError(double predicted, double actual) {
   if (predicted == actual) return 0.0;
@@ -696,8 +666,9 @@ AuditReport BuildAuditReport(const AuditLedgerDoc& doc, std::size_t worst_n) {
       if (r.rho_c_pred < 0.0 || r.rho_c_actual < 0.0 || !r.allow_conversion) {
         continue;
       }
-      bool la = false, lb = false, lc = false;
-      if (!DecodeKernel(r.kernel, &la, &lb, &lc)) continue;
+      if (r.kernel < 0 || r.kernel >= kNumKernelTypes) continue;
+      const bool la = r.a_dense();
+      const bool lb = r.b_dense();
       ++rep.repr_considered;
       const double err = SymmetricRelError(r.rho_c_pred, r.rho_c_actual);
       errs.push_back(err);

@@ -8,6 +8,7 @@
 //   waterlevel projected result bytes vs materialized result bytes
 //   spa_mode   predicted vs realized rows-nnz feeding SPA ChooseMode
 //   repr       per-pair representation decisions with full replay inputs
+//              (ReprAuditRecord, ops/optimizer.h: the pair planner's record)
 //   chain      chain plan, fusion outcome and cost vs measured time
 //
 // Each record observes a bounded symmetric relative error into an
@@ -15,7 +16,8 @@
 // retained for the schema-versioned JSON ledger (`/decisions`,
 // `--audit-out` / `ATMX_AUDIT_OUT`, `atmx decisions --json`). The decision
 // tables of `atmx trace` / `atmx decisions` (ops/explain.h) and the
-// flight-recorder tail render from the same records. `atmx audit` replays
+// flight-recorder tail render from the same records; `atmx explain` renders
+// the planner's records of a product before it runs. `atmx audit` replays
 // a ledger offline: error distributions (p50/p95/max), worst-N
 // mispredictions, and a counterfactual pass that re-runs the production
 // cost model with *measured* inputs to count "regret" decisions — choices
@@ -42,6 +44,7 @@
 #include "common/types.h"
 #include "cost/cost_model.h"
 #include "obs/json_util.h"
+#include "ops/optimizer.h"
 
 namespace atmx::obs {
 
@@ -96,34 +99,6 @@ struct SpaModeAuditRecord {
   double predicted_row_nnz = 0.0;  // ChooseMode input; < 0 = no estimate
   double actual_row_nnz = 0.0;     // realized tile nnz / rows
   int chosen_mode = 0;             // SparseAccumulator::Mode as int
-};
-
-// One per-pair representation decision, carrying every input
-// DecidePairRepresentations consumed so the counterfactual pass can
-// re-run it bit-for-bit with rho_c_actual in place of rho_c_pred.
-// Recorded for every prepared pair, including runs without a density
-// estimate or without dynamic conversion; the counterfactual pass
-// replays only records that have both.
-struct ReprAuditRecord {
-  std::uint64_t op = 0;
-  index_t ti = 0, tj = 0;    // C tile coordinates
-  index_t k0 = 0, k1 = 0;    // contraction window of this pair
-  index_t m = 0, k = 0, n = 0;
-  double rho_a = 0.0, rho_b = 0.0;  // exact operand window densities
-  double rho_c_pred = 0.0;   // estimated result-region density; < 0 = none
-  double rho_c_actual = 0.0; // measured result-tile density
-  double rho_w = 0.0;
-  bool a_stored_dense = false, b_stored_dense = false;
-  bool a_cached = false, b_cached = false;  // JIT conversion cache hits
-  bool allow_conversion = false;  // dynamic conversion was on
-  bool c_dense = false;      // chosen C representation
-  int kernel = 0;            // chosen KernelType
-  double stored_cost = 0.0, chosen_cost = 0.0;
-
-  // A fresh JIT conversion of the operand: the chosen representation
-  // differs from the stored one and no cached conversion served it.
-  bool a_converted() const;
-  bool b_converted() const;
 };
 
 // One executed chain multiplication: the planner's choice and the

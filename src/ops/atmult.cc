@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "estimate/density_estimator.h"
-#include "estimate/water_level.h"
 #include "kernels/kernel_dispatch.h"
 #include "obs/obs.h"
 #if defined(ATMX_OBS_ENABLED)
@@ -15,6 +14,7 @@
 #endif
 #include "ops/chain_exec.h"
 #include "ops/optimizer.h"
+#include "ops/product_task.h"
 #include "tile/partitioner.h"
 
 namespace atmx {
@@ -137,29 +137,13 @@ ATMatrix MultiplyNode(const AtMult& op, ProductNodeSpec node,
 #endif
 
   // --- Density estimation + flexible write threshold (Alg. 2 l. 2-3). ---
-  DensityMap estimate;
-  double estimate_seconds = 0.0;
-  bool wl_feasible = true;
+  // A preset threshold (the chain executor solved the water level
+  // chain-wide) replaces the local solve.
   const bool use_estimate = config.density_estimation;
-  if (use_estimate) {
-    ATMX_TRACE_SPAN("op", "estimate_density");
-    WallTimer est_timer;
-    estimate = EstimateProductDensity(a.density_map(), b.density_map());
-    if (node.c_init != nullptr) {
-      estimate = CombineAdditive(estimate, node.c_init->density_map());
-    }
-    // A preset threshold (the chain executor solved the water level
-    // chain-wide) replaces the local solve.
-    if (node.rho_w < 0.0) {
-      node.rho_w = EffectiveWriteThreshold(estimate, config.rho_write,
-                                           config.result_mem_limit_bytes,
-                                           &wl_feasible);
-    }
-    node.estimate = &estimate;
-    estimate_seconds = est_timer.ElapsedSeconds();
-  } else {
-    node.rho_w = config.rho_write;
-  }
+  const ProductEstimate estimate =
+      EstimateProduct(a, b, node.c_init, config, node.rho_w);
+  node.rho_w = estimate.rho_w;
+  if (use_estimate) node.estimate = &estimate.map;
   ATMX_GAUGE_SET("atmult.waterlevel.rho_w", node.rho_w);
 #if defined(ATMX_OBS_ENABLED)
   std::uint64_t projected_bytes = 0;
@@ -167,7 +151,7 @@ ATMatrix MultiplyNode(const AtMult& op, ProductNodeSpec node,
     // Projected result memory at the effective threshold — the number the
     // mem-tracker high-water mark (mem.high_water_bytes) and the realized
     // result size (atmult.result_bytes) are compared against.
-    projected_bytes = EstimateMemoryBytes(estimate, node.rho_w);
+    projected_bytes = EstimateMemoryBytes(estimate.map, node.rho_w);
     const double projected = static_cast<double>(projected_bytes);
     ATMX_GAUGE_SET("atmult.waterlevel.predicted_bytes", projected);
     if (config.result_mem_limit_bytes !=
@@ -185,7 +169,7 @@ ATMatrix MultiplyNode(const AtMult& op, ProductNodeSpec node,
   ChainExecStats run;
   ATMatrix result = RunProductGraph({node}, op, /*budget_bytes=*/0, &run);
   *stats = run.total;
-  stats->estimate_seconds = estimate_seconds;
+  stats->estimate_seconds = estimate.seconds;
   stats->total_seconds = total_timer.ElapsedSeconds();
 
 #if defined(ATMX_OBS_ENABLED)
@@ -199,7 +183,7 @@ ATMatrix MultiplyNode(const AtMult& op, ProductNodeSpec node,
     w.projected_bytes = projected_bytes;
     w.result_bytes = result.MemoryBytes();
     w.high_water_bytes = obs::MemTracker::Global().high_water_bytes();
-    w.feasible = wl_feasible;
+    w.feasible = estimate.feasible;
     obs::AuditLedger::Global().RecordWaterLevel(w);
   }
 #endif

@@ -74,7 +74,8 @@ struct AtMultStats {
   // Same over CPU time: preferred on hosts with fewer cores than teams.
   double MaxTeamCpuSeconds() const;
 
-  // NUMA locality accounting (see topology/numa_sim.h).
+  // NUMA locality accounting: operand, seed and result bytes each tile
+  // task read or wrote, split by the executing team's node.
   std::uint64_t local_read_bytes = 0;
   std::uint64_t remote_read_bytes = 0;
   std::uint64_t local_write_bytes = 0;

@@ -1,10 +1,8 @@
 #include "ops/chain.h"
 
 #include <limits>
-#include <map>
 #include <memory>
 #include <sstream>
-#include <utility>
 
 #include "common/check.h"
 #include "common/timer.h"
@@ -15,7 +13,6 @@
 #include "obs/audit_ledger.h"
 #endif
 #include "ops/chain_exec.h"
-#include "ops/optimizer.h"
 
 namespace atmx {
 
@@ -172,67 +169,9 @@ double EstimateLeftToRightCost(const std::vector<const DensityMap*>& maps,
   return total;
 }
 
+#if defined(ATMX_OBS_ENABLED)
 namespace {
 
-// A subchain's result without deep-copying leaves: `view` is always
-// valid; `owned` holds materialized intermediates.
-struct NodeResult {
-  const ATMatrix* view = nullptr;
-  std::unique_ptr<ATMatrix> owned;
-};
-
-// Product-at-a-time execution (post-order, left subtree first): the
-// bitwise reference of the fused graph, built as a sequence of one-node
-// product graphs. JIT conversion caches are shared per distinct source
-// matrix so a matrix appearing in several products converts each tile at
-// most once per chain.
-NodeResult ExecuteSubchain(
-    const std::vector<const ATMatrix*>& chain, const ChainPlan& plan,
-    const AtMult& op, int i, int j,
-    std::map<const ATMatrix*, std::unique_ptr<ConversionCache>>* caches,
-    const internal::ChainBudgetPlan& budget, ChainExecStats* stats) {
-  if (i == j) {
-    NodeResult leaf;
-    leaf.view = chain[i];
-    return leaf;
-  }
-  const int k = plan.split[i][j];
-  NodeResult left =
-      ExecuteSubchain(chain, plan, op, i, k, caches, budget, stats);
-  NodeResult right =
-      ExecuteSubchain(chain, plan, op, k + 1, j, caches, budget, stats);
-  auto cache_for = [caches](const ATMatrix* m) {
-    auto& slot = (*caches)[m];
-    if (slot == nullptr) slot = std::make_unique<ConversionCache>();
-    return slot.get();
-  };
-  internal::ProductNodeSpec node;
-  node.left = left.view;
-  node.left_cache = cache_for(left.view);
-  node.right = right.view;
-  node.right_cache = cache_for(right.view);
-  // Post-order product id — per_product holds exactly this node's
-  // completed subtree products at this point. Under an active chain
-  // budget the planned threshold replaces the operator's own water
-  // level, mirroring the fused executor decision for decision.
-  const std::size_t product_index = stats->per_product.size();
-  if (budget.active && product_index < budget.rho_w.size()) {
-    node.rho_w = budget.rho_w[product_index];
-  }
-  AtMultStats product_stats;
-  NodeResult result;
-  result.owned = std::make_unique<ATMatrix>(
-      internal::MultiplyNode(op, node, &product_stats));
-  result.view = result.owned.get();
-  // Intermediate operands are dead now; drop their conversions with them.
-  if (left.owned != nullptr) caches->erase(left.view);
-  if (right.owned != nullptr) caches->erase(right.view);
-  internal::AccumulateProductStats(product_stats, &stats->total);
-  stats->per_product.push_back(std::move(product_stats));
-  return result;
-}
-
-#if defined(ATMX_OBS_ENABLED)
 void RecordChainDecision(const std::vector<const ATMatrix*>& chain,
                          const ChainPlan& plan, const AtMult& op,
                          const ChainExecStats& stats, double total_seconds) {
@@ -278,9 +217,9 @@ void RecordChainDecision(const std::vector<const ATMatrix*>& chain,
   }
   ledger.RecordChain(rec);
 }
-#endif
 
 }  // namespace
+#endif
 
 ATMatrix ExecuteChain(const std::vector<const ATMatrix*>& chain,
                       const ChainPlan& plan, const AtMult& op,
@@ -319,15 +258,7 @@ ATMatrix ExecuteChain(const std::vector<const ATMatrix*>& chain,
     } else {
       fuse = true;
     }
-    if (fuse) {
-      result = internal::ExecuteChainFused(chain, plan, op, budget, stats);
-    } else {
-      std::map<const ATMatrix*, std::unique_ptr<ConversionCache>> caches;
-      NodeResult root = ExecuteSubchain(chain, plan, op, 0,
-                                        static_cast<int>(chain.size()) - 1,
-                                        &caches, budget, stats);
-      result = std::move(*root.owned);
-    }
+    result = internal::ExecuteChainNodes(chain, plan, op, budget, fuse, stats);
   }
   const double total_seconds = timer.ElapsedSeconds();
 #if defined(ATMX_OBS_ENABLED)

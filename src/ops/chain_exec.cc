@@ -108,10 +108,9 @@ struct ProductNode {
   std::vector<double> block_counts;  // per-atomic-block nnz counts
   // Estimator output, filled per task when the spec brings no estimate.
   DensityMap estimate;
-  // Planning-time result map (LPT costs, admission): the spec's, or
-  // `owned_planned` estimated from the operands' planned maps.
+  // Planning-time result map (LPT costs, admission): the spec's planned
+  // map, or its up-front estimate.
   const DensityMap* planned = nullptr;
-  DensityMap owned_planned;
 
   // JIT conversions of this node's result tiles, when a consuming task
   // prefers the other representation.
@@ -367,16 +366,12 @@ ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
     // Planning-time result map: LPT costs and admission price tasks with
     // it, and a consumer prices its operand bands with it before this
     // node's actual map exists (order is a performance hint only —
-    // results are unaffected).
+    // results are unaffected). A one-node graph plans with its up-front
+    // estimate (or, without estimation, needs none); a fused graph's
+    // nodes carry the chain plan's maps.
+    ATMX_CHECK(!fused || spec.planned_map != nullptr);
     node.planned = spec.planned_map != nullptr ? spec.planned_map
                                                : spec.estimate;
-    if (node.planned == nullptr &&
-        (config.work_stealing || budget_bytes > 0) &&
-        (ctx.use_estimate || node.parent >= 0)) {
-      node.owned_planned = EstimateProductDensity(LeftPlannedMap(nodes, node),
-                                                  RightPlannedMap(nodes, node));
-      node.planned = &node.owned_planned;
-    }
   }
   // Retire countdowns: sized by the operand band the parent consumes;
   // parents have larger ids, so their band counts exist only after the
@@ -803,9 +798,9 @@ ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
   return result;
 }
 
-ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
+ATMatrix ExecuteChainNodes(const std::vector<const ATMatrix*>& chain,
                            const ChainPlan& plan, const AtMult& op,
-                           const ChainBudgetPlan& budget,
+                           const ChainBudgetPlan& budget, bool fused,
                            ChainExecStats* stats) {
   ATMX_CHECK(stats != nullptr);
   const AtmConfig& config = op.config();
@@ -813,8 +808,8 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
 
   // Shared JIT conversion caches, one per distinct input matrix — a
   // matrix appearing in several products (or twice in one) converts each
-  // tile at most once per chain. Intermediates use their producing node's
-  // result cache.
+  // tile at most once per chain. Intermediates get a fresh cache of their
+  // own.
   std::map<const ATMatrix*, std::unique_ptr<ConversionCache>> caches;
   auto cache_for = [&caches](const ATMatrix* m) {
     auto& slot = caches[m];
@@ -826,6 +821,43 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
   index_t tasks = 0;
   BuildNodes(chain, plan, 0, n - 1, cache_for, &nodes, &tasks);
   ATMX_CHECK(!budget.active || budget.rho_w.size() == nodes.size());
+
+  if (!fused) {
+    // Product-at-a-time, the bitwise reference of the fused graph: one
+    // one-node graph per product, earlier products' results as leaves.
+    // Under an active chain budget the planned threshold replaces the
+    // operator's own water level, mirroring the fused executor decision
+    // for decision.
+    std::vector<ATMatrix> results(nodes.size());
+    for (std::size_t id = 0; id < nodes.size(); ++id) {
+      ProductNodeSpec node = nodes[id];
+      ConversionCache left_cache;
+      ConversionCache right_cache;
+      if (node.left_node >= 0) {
+        node.left = &results[static_cast<std::size_t>(node.left_node)];
+        node.left_cache = &left_cache;
+        node.left_node = -1;
+      }
+      if (node.right_node >= 0) {
+        node.right = &results[static_cast<std::size_t>(node.right_node)];
+        node.right_cache = &right_cache;
+        node.right_node = -1;
+      }
+      if (budget.active) node.rho_w = budget.rho_w[id];
+      AtMultStats product_stats;
+      results[id] = MultiplyNode(op, node, &product_stats);
+      // Intermediate operands are dead now (their caches die with this
+      // iteration).
+      for (const int child : {nodes[id].left_node, nodes[id].right_node}) {
+        if (child >= 0) results[static_cast<std::size_t>(child)] = ATMatrix();
+      }
+      AccumulateProductStats(product_stats, &stats->total);
+      stats->per_product.push_back(std::move(product_stats));
+    }
+    return std::move(results.back());
+  }
+
+  ATMX_CHECK_EQ(budget.planned_maps.size(), nodes.size());
   for (std::size_t id = 0; id < nodes.size(); ++id) {
     // Unbounded budget: the performance-optimal threshold, exactly as the
     // product-at-a-time path's EffectiveWriteThreshold fast path. Finite
@@ -833,9 +865,7 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
     // the product-at-a-time path imposes identically — same
     // representation decisions, bitwise-identical results.
     nodes[id].rho_w = budget.active ? budget.rho_w[id] : config.rho_write;
-    if (id < budget.planned_maps.size()) {
-      nodes[id].planned_map = &budget.planned_maps[id];
-    }
+    nodes[id].planned_map = &budget.planned_maps[id];
   }
 
   ATMatrix result;

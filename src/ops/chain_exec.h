@@ -64,8 +64,8 @@ struct ProductNodeSpec {
   // its own region from the operands' actual maps once they are final.
   const DensityMap* estimate = nullptr;
   // Planning-time estimate of the result, used for LPT task costs and
-  // admission (a ChainBudgetPlan map). Null: `estimate` when set,
-  // otherwise estimated from the operands' planned maps.
+  // admission (a ChainBudgetPlan map); required in a multi-node graph.
+  // Null: `estimate`.
   const DensityMap* planned_map = nullptr;
   // Audit-ledger op id; 0 draws one per node when the ledger is on.
   std::uint64_t op_id = 0;
@@ -131,16 +131,21 @@ struct ChainBudgetPlan {
 ChainBudgetPlan PlanChainBudget(const std::vector<const ATMatrix*>& chain,
                                 const ChainPlan& plan, const AtMult& op);
 
-// Executes the planned chain as one product graph (RunProductGraph), with
-// one JIT conversion cache per distinct source matrix. When
-// `budget.active`, each product writes at its chain-planned threshold and
-// the scheduler admission-gates ready tile tasks against the shared
-// budget.
-// Preconditions: CanFuseChain() holds, chain.size() == plan.split.size(),
-// and `stats` is non-null (the caller owns reporting).
-ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
+// Executes the planned chain over the post-order product list that
+// PlanChainBudget prices too, with one JIT conversion cache per distinct
+// source matrix and a fresh one per intermediate. `fused`: the list runs
+// as one product graph (RunProductGraph); when `budget.active`, each
+// product writes at its chain-planned threshold and the scheduler
+// admission-gates ready tile tasks against the shared budget. Otherwise
+// product-at-a-time, the bitwise reference of the fused graph: each
+// product runs through MultiplyNode (at its chain-planned threshold when
+// `budget.active`) with earlier products' results as its operands, and
+// each intermediate is released with its cache right after its consumer
+// ran. Preconditions: chain.size() == plan.split.size() >= 2, CanFuseChain()
+// when `fused`, and `stats` is non-null (the caller owns reporting).
+ATMatrix ExecuteChainNodes(const std::vector<const ATMatrix*>& chain,
                            const ChainPlan& plan, const AtMult& op,
-                           const ChainBudgetPlan& budget,
+                           const ChainBudgetPlan& budget, bool fused,
                            ChainExecStats* stats);
 
 // Adds one product's operator stats into the chain total (timings,

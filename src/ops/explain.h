@@ -3,18 +3,20 @@
 // cardinality estimation). Produces the *plan* of C = A * B without
 // executing it: the estimated result topology, the chosen write
 // threshold, and per tile-pair the windows, estimated densities, selected
-// kernel, and whether a JIT conversion would fire.
+// kernel, and whether a JIT conversion would fire. The plan comes from the
+// same pair planner execution runs (ops/product_task.h) as the same
+// decision records the audit ledger stores, and renders through the same
+// table (FormatDecisionLog).
 
 #ifndef ATMX_OPS_EXPLAIN_H_
 #define ATMX_OPS_EXPLAIN_H_
 
 #include <deque>
 #include <string>
-#include <vector>
 
 #include "common/config.h"
 #include "cost/cost_model.h"
-#include "kernels/kernel_common.h"
+#include "ops/optimizer.h"
 #include "tile/at_matrix.h"
 
 #if defined(ATMX_OBS_ENABLED)
@@ -22,20 +24,6 @@
 #endif
 
 namespace atmx {
-
-// One planned pair multiplication.
-struct PlannedPair {
-  index_t ti = 0;  // C tile row band
-  index_t tj = 0;  // C tile col band
-  index_t k0 = 0;  // contraction range
-  index_t k1 = 0;
-  double rho_a = 0.0;
-  double rho_b = 0.0;
-  KernelType kernel = KernelType::kSSS;
-  bool converts_a = false;
-  bool converts_b = false;
-  double projected_cost = 0.0;
-};
 
 struct MultiplyPlan {
   index_t num_row_bands = 0;
@@ -47,7 +35,10 @@ struct MultiplyPlan {
   index_t sparse_target_tiles = 0;
   index_t planned_conversions = 0;
   double total_projected_cost = 0.0;
-  std::vector<PlannedPair> pairs;
+  // One decision record per pair, tasks in (ti, tj) order (op = 0,
+  // rho_c_actual = -1). A deque like the ledger's repr class, so one
+  // renderer serves both.
+  std::deque<ReprAuditRecord> pairs;
 
   // Multi-line human-readable plan; `max_pairs` rows of pair detail.
   std::string ToString(index_t max_pairs = 24) const;
@@ -61,16 +52,15 @@ MultiplyPlan ExplainMultiply(const ATMatrix& a, const ATMatrix& b,
                              const AtmConfig& config,
                              const CostModel& cost_model = CostModel());
 
-#if defined(ATMX_OBS_ENABLED)
-// Renders the audit ledger's repr records (the "EXPLAIN after the fact"
-// counterpart of MultiplyPlan::ToString) as a column-aligned table,
+// Renders pair decision records — a plan's before execution, or the
+// audit ledger's `repr` records after it — as a column-aligned table,
 // `max_rows` rows of pair detail after a summary line. The summary counts
 // only fresh JIT conversions (ReprAuditRecord::a_converted/b_converted),
-// so on one team it equals the operator's conversion stats. Only
-// available when the observability layer is built in.
-std::string FormatDecisionLog(const std::deque<obs::ReprAuditRecord>& records,
+// so on one team it equals the operator's conversion stats.
+std::string FormatDecisionLog(const std::deque<ReprAuditRecord>& records,
                               index_t max_rows = 24);
 
+#if defined(ATMX_OBS_ENABLED)
 // Renders the ledger's chain records (one per ExecuteChain call: chosen
 // parenthesization, planned vs left-to-right cost, fusion outcome or
 // fallback reason, resident-tile peak) as a table followed by the

@@ -48,6 +48,34 @@ PairDecision DecidePairRepresentations(const CostModel& model,
   return best;
 }
 
+namespace {
+
+bool IsKernelType(int kernel) {
+  return kernel >= 0 && kernel < kNumKernelTypes;
+}
+
+}  // namespace
+
+bool ReprAuditRecord::a_dense() const {
+  const auto k = static_cast<KernelType>(kernel);
+  return k == KernelType::kDDD || k == KernelType::kDSD ||
+         k == KernelType::kDDS || k == KernelType::kDSS;
+}
+
+bool ReprAuditRecord::b_dense() const {
+  const auto k = static_cast<KernelType>(kernel);
+  return k == KernelType::kDDD || k == KernelType::kSDD ||
+         k == KernelType::kDDS || k == KernelType::kSDS;
+}
+
+bool ReprAuditRecord::a_converted() const {
+  return IsKernelType(kernel) && a_dense() != a_stored_dense && !a_cached;
+}
+
+bool ReprAuditRecord::b_converted() const {
+  return IsKernelType(kernel) && b_dense() != b_stored_dense && !b_cached;
+}
+
 ConversionCache::~ConversionCache() {
 #if defined(ATMX_OBS_ENABLED)
   std::uint64_t bytes;

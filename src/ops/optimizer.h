@@ -7,6 +7,7 @@
 #ifndef ATMX_OPS_OPTIMIZER_H_
 #define ATMX_OPS_OPTIMIZER_H_
 
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 
@@ -38,6 +39,43 @@ PairDecision DecidePairRepresentations(const CostModel& model,
                                        bool a_is_dense, bool b_is_dense,
                                        bool a_cached, bool b_cached,
                                        bool c_dense, bool allow_conversion);
+
+// One per-pair representation decision, carrying every input
+// DecidePairRepresentations consumed so the audit ledger's counterfactual
+// pass can re-run it bit-for-bit with rho_c_actual in place of rho_c_pred.
+// The pair planner (ops/product_task.h) builds one per contributing pair;
+// execution runs the pair from it, EXPLAIN returns it, and the audit ledger
+// stores it as its `repr` class, including runs without a density estimate
+// or without dynamic conversion (the counterfactual pass replays only
+// records that have both).
+struct ReprAuditRecord {
+  std::uint64_t op = 0;
+  index_t ti = 0, tj = 0;    // C tile coordinates
+  index_t k0 = 0, k1 = 0;    // contraction window of this pair
+  index_t m = 0, k = 0, n = 0;
+  double rho_a = 0.0, rho_b = 0.0;  // exact operand window densities
+  double rho_c_pred = 0.0;   // estimated result-region density; < 0 = none
+  double rho_c_actual = 0.0; // measured result-tile density; < 0 = unknown
+  double rho_w = 0.0;
+  bool a_stored_dense = false, b_stored_dense = false;
+  bool a_cached = false, b_cached = false;  // JIT conversion cache hits
+  bool allow_conversion = false;  // dynamic conversion was on
+  bool c_dense = false;      // chosen C representation
+  int kernel = 0;            // chosen KernelType
+  double stored_cost = 0.0, chosen_cost = 0.0;
+
+  // Chosen operand representations, decoded from `kernel` (false when
+  // `kernel` is no KernelType).
+  bool a_dense() const;
+  bool b_dense() const;
+  // A fresh JIT conversion of the operand: the chosen representation
+  // differs from the stored one and no cached conversion served it.
+  bool a_converted() const;
+  bool b_converted() const;
+
+  friend bool operator==(const ReprAuditRecord&,
+                         const ReprAuditRecord&) = default;
+};
 
 // Thread-safe cache of the converted tile payloads of one operand matrix,
 // keyed by tile index. Standalone ATMULT gives each operand its own cache

@@ -7,6 +7,8 @@
 #include "common/check.h"
 #include "common/math_util.h"
 #include "common/timer.h"
+#include "estimate/density_estimator.h"
+#include "estimate/water_level.h"
 #include "kernels/kernel_dispatch.h"
 #include "kernels/sparse_accumulator.h"
 #include "obs/obs.h"
@@ -66,17 +68,6 @@ OperandView OperandView::FromGrid(const std::vector<Tile>* tiles,
 
 namespace {
 
-// One matching tile pair contributing to a C tile: A tile x B tile over the
-// shared contraction range [k0, k1).
-struct MatchedPair {
-  const Tile* a_tile;
-  index_t a_idx;
-  const Tile* b_tile;
-  index_t b_idx;
-  index_t k0;
-  index_t k1;
-};
-
 // Prepared pair: operands resolved to concrete representations/windows.
 struct PreparedPair {
   Operand a;
@@ -123,6 +114,137 @@ std::uint64_t ApproxWindowBytes(bool dense, double rho, index_t m,
 
 }  // namespace
 
+ProductEstimate EstimateProduct(const ATMatrix& a, const ATMatrix& b,
+                                const ATMatrix* c_init,
+                                const AtmConfig& config,
+                                double preset_rho_w) {
+  ProductEstimate est;
+  if (!config.density_estimation) {
+    est.rho_w = config.rho_write;
+    return est;
+  }
+  ATMX_TRACE_SPAN("op", "estimate_density");
+  WallTimer timer;
+  est.map = EstimateProductDensity(a.density_map(), b.density_map());
+  if (c_init != nullptr) {
+    est.map = CombineAdditive(est.map, c_init->density_map());
+  }
+  est.rho_w = preset_rho_w >= 0.0
+                  ? preset_rho_w
+                  : EffectiveWriteThreshold(est.map, config.rho_write,
+                                            config.result_mem_limit_bytes,
+                                            &est.feasible);
+  est.seconds = timer.ElapsedSeconds();
+  return est;
+}
+
+TaskPlan PlanTileTask(const ProductContext& ctx, index_t ti, index_t tj,
+                      const ConvertedQuery& converted) {
+  const OperandView& a = ctx.a;
+  const OperandView& b = ctx.b;
+  const index_t block = ctx.block;
+  const index_t r0 = a.row_bounds()[ti];
+  const index_t c0 = b.col_bounds()[tj];
+  const index_t m = a.row_bounds()[ti + 1] - r0;
+  const index_t n = b.col_bounds()[tj + 1] - c0;
+
+  TaskPlan plan;
+  // Target representation from the estimated density (Alg. 2 l. 6).
+  if (ctx.use_estimate) {
+    plan.rho_c = ctx.estimate->RegionDensity(
+        r0 / block, c0 / block, CeilDiv(m, block), CeilDiv(n, block));
+  }
+  plan.c_dense = ctx.use_estimate && plan.rho_c >= ctx.rho_w;
+
+  // Tiles an earlier pair of this task chose to convert: the pairs after
+  // it see their other representation as available, as when execution
+  // converted pair by pair. Operands sharing one cache (a chain
+  // multiplying a source matrix by itself) share the list.
+  std::vector<index_t> a_chosen;
+  std::vector<index_t> b_own;
+  std::vector<index_t>& b_chosen =
+      ctx.a_cache != nullptr && ctx.a_cache == ctx.b_cache ? a_chosen : b_own;
+  const auto available = [&converted](const std::vector<index_t>& chosen,
+                                      bool a_side, index_t tile) {
+    return std::find(chosen.begin(), chosen.end(), tile) != chosen.end() ||
+           converted(a_side, tile);
+  };
+
+  // Match tiles along the contraction dimension (Fig. 4), deciding each
+  // pair as it is found.
+  auto a_band = a.TilesInRowBand(ti);
+  auto b_band = b.TilesInColBand(tj);
+  std::size_t ia = 0, ib = 0;
+  while (ia < a_band.size() && ib < b_band.size()) {
+    const index_t a_idx = a_band[ia];
+    const index_t b_idx = b_band[ib];
+    const Tile& at = a.tile(a_idx);
+    const Tile& bt = b.tile(b_idx);
+    const index_t k0 = std::max(at.col0(), bt.row0());
+    const index_t k1 = std::min(at.col_end(), bt.row_end());
+    if (at.col_end() <= bt.row_end()) {
+      ++ia;
+    } else {
+      ++ib;
+    }
+    if (k1 <= k0 || at.nnz() == 0 || bt.nnz() == 0) continue;
+
+    MultiplyShape shape;
+    shape.m = m;
+    shape.k = k1 - k0;
+    shape.n = n;
+    shape.rho_a = a.map().RegionDensity(r0 / block, k0 / block,
+                                        CeilDiv(m, block),
+                                        CeilDiv(shape.k, block));
+    shape.rho_b = b.map().RegionDensity(k0 / block, c0 / block,
+                                        CeilDiv(shape.k, block),
+                                        CeilDiv(n, block));
+    shape.rho_c = plan.rho_c;
+    // The tile pair matched on bounding boxes, but the referenced windows
+    // can still be exactly empty (e.g. a huge melted sparse tile that only
+    // touches the band in a far corner). The density map is exact at block
+    // granularity and windows are block-aligned, so a zero region density
+    // proves the pair contributes nothing.
+    if (shape.rho_a == 0.0 || shape.rho_b == 0.0) continue;
+
+    const bool a_cached = available(a_chosen, /*a_side=*/true, a_idx);
+    const bool b_cached = available(b_chosen, /*a_side=*/false, b_idx);
+    const PairDecision decision = DecidePairRepresentations(
+        *ctx.cost_model, shape, at.is_dense(), bt.is_dense(), a_cached,
+        b_cached, plan.c_dense, ctx.dynamic_conversion);
+    if (decision.a_converted) a_chosen.push_back(a_idx);
+    if (decision.b_converted) b_chosen.push_back(b_idx);
+
+    ReprAuditRecord r;
+    r.op = ctx.op_id;
+    r.ti = ti;
+    r.tj = tj;
+    r.k0 = k0;
+    r.k1 = k1;
+    r.m = shape.m;
+    r.k = shape.k;
+    r.n = shape.n;
+    r.rho_a = shape.rho_a;
+    r.rho_b = shape.rho_b;
+    r.rho_c_pred = ctx.use_estimate ? plan.rho_c : -1.0;
+    r.rho_c_actual = -1.0;
+    r.rho_w = ctx.rho_w;
+    r.a_stored_dense = at.is_dense();
+    r.b_stored_dense = bt.is_dense();
+    r.a_cached = a_cached;
+    r.b_cached = b_cached;
+    r.allow_conversion = ctx.dynamic_conversion;
+    r.c_dense = plan.c_dense;
+    r.kernel = static_cast<int>(
+        MakeKernelType(decision.a_dense, decision.b_dense, plan.c_dense));
+    r.stored_cost = decision.stored_cost;
+    r.chosen_cost = decision.projected_cost;
+    plan.pairs.push_back(r);
+    plan.tiles.emplace_back(a_idx, b_idx);
+  }
+  return plan;
+}
+
 void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
                         index_t task) {
   const OperandView& a = ctx.a;
@@ -155,13 +277,6 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
   std::uint64_t local_read = 0, remote_read = 0;
   std::array<index_t, kNumKernelTypes> task_kernels{};
 #if defined(ATMX_OBS_ENABLED)
-  // Prediction-audit collection: repr records are held back until the C
-  // tile is materialized (its realized density resolves every pair
-  // decision of this task); the task-level cost prediction accumulates
-  // per-pair model costs plus the write side.
-  std::vector<obs::ReprAuditRecord> pending_repr;
-  double predicted_task_cost = 0.0;
-  double predicted_intermediates = 0.0;
   const obs::PerfSnapshot task_perf_begin =
       ctx.ledger_enabled ? obs::PerfBeginSnapshot() : obs::PerfSnapshot();
 #endif
@@ -169,14 +284,6 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
   std::vector<Tile>& c_tiles = *ctx.c_tiles;
   std::vector<double>& block_counts = *ctx.block_counts;
   const index_t grid_cols = ctx.grid_cols;
-
-  // Target representation from the estimated density (Alg. 2 l. 6).
-  double rho_c = 0.0;
-  if (ctx.use_estimate) {
-    rho_c = ctx.estimate->RegionDensity(r0 / block, c0 / block,
-                                        CeilDiv(m, block), CeilDiv(n, block));
-  }
-  const bool c_dense = ctx.use_estimate && rho_c >= ctx.rho_w;
 
   // Accumulator windows: tiles of the initial C overlapping this task's
   // region, with their intersection boxes in region-local coordinates.
@@ -210,158 +317,61 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
     }
   }
 
-  // --- Match tiles along the contraction dimension (Fig. 4). ----------
-  std::vector<MatchedPair> matched;
-  {
-    auto a_band = a.TilesInRowBand(ti);
-    auto b_band = b.TilesInColBand(tj);
-    std::size_t ia = 0, ib = 0;
-    while (ia < a_band.size() && ib < b_band.size()) {
-      const Tile& at = a.tile(a_band[ia]);
-      const Tile& bt = b.tile(b_band[ib]);
-      const index_t k0 = std::max(at.col0(), bt.row0());
-      const index_t k1 = std::min(at.col_end(), bt.row_end());
-      if (k1 > k0 && at.nnz() > 0 && bt.nnz() > 0) {
-        matched.push_back({&at, a_band[ia], &bt, b_band[ib], k0, k1});
-      }
-      if (at.col_end() <= bt.row_end()) {
-        ++ia;
-      } else {
-        ++ib;
-      }
-    }
-  }
-
-  // --- Optimize each pair: representations + JIT conversions. ---------
+  // --- Optimize: plan every pair, then run its JIT conversions. --------
+  WallTimer opt_timer;
+  // Decision records are held back until the C tile is materialized: its
+  // realized density resolves every pair decision of this task.
+  TaskPlan plan =
+      PlanTileTask(ctx, ti, tj, [&ctx](bool a_side, index_t tile) {
+        const ConversionCache& cache = *(a_side ? ctx.a_cache : ctx.b_cache);
+        return (a_side ? ctx.a : ctx.b).tile(tile).is_dense()
+                   ? cache.HasSparse(tile)
+                   : cache.HasDense(tile);
+      });
+  const double rho_c = plan.rho_c;
+  const bool c_dense = plan.c_dense;
   std::vector<PreparedPair> prepared;
-  prepared.reserve(matched.size());
-  {
-    WallTimer opt_timer;
-    for (const MatchedPair& mp : matched) {
-      const index_t k = mp.k1 - mp.k0;
-      MultiplyShape shape;
-      shape.m = m;
-      shape.k = k;
-      shape.n = n;
-      shape.rho_a = a.map().RegionDensity(
-          r0 / block, mp.k0 / block, CeilDiv(m, block), CeilDiv(k, block));
-      shape.rho_b = b.map().RegionDensity(
-          mp.k0 / block, c0 / block, CeilDiv(k, block), CeilDiv(n, block));
-      shape.rho_c = rho_c;
-
-      // The tile pair matched on bounding boxes, but the referenced
-      // windows can still be exactly empty (e.g. a huge melted sparse
-      // tile that only touches the band in a far corner). The density
-      // map is exact at block granularity and windows are block-aligned,
-      // so a zero region density proves the pair contributes nothing.
-      if (shape.rho_a == 0.0 || shape.rho_b == 0.0) continue;
-
-      PairDecision decision;
-      bool a_cached = false, b_cached = false;
-      if (ctx.dynamic_conversion) {
-        a_cached = mp.a_tile->is_dense() ? ctx.a_cache->HasSparse(mp.a_idx)
-                                         : ctx.a_cache->HasDense(mp.a_idx);
-        b_cached = mp.b_tile->is_dense() ? ctx.b_cache->HasSparse(mp.b_idx)
-                                         : ctx.b_cache->HasDense(mp.b_idx);
-        decision = DecidePairRepresentations(
-            *ctx.cost_model, shape, mp.a_tile->is_dense(),
-            mp.b_tile->is_dense(), a_cached, b_cached, c_dense,
-            /*allow_conversion=*/true);
-      } else {
-        decision.a_dense = mp.a_tile->is_dense();
-        decision.b_dense = mp.b_tile->is_dense();
-      }
-
-#if defined(ATMX_OBS_ENABLED)
-      if (ctx.ledger_enabled) {
-        const KernelType chosen =
-            MakeKernelType(decision.a_dense, decision.b_dense, c_dense);
-        // Task-level cost prediction: pair compute (+ conversion when the
-        // optimizer priced one in) plus the expected SPA traffic feeding
-        // the write side accounted after the loop.
-        predicted_task_cost +=
-            ctx.dynamic_conversion
-                ? decision.projected_cost
-                : ctx.cost_model->ComputeCost(chosen, shape);
-        predicted_intermediates += shape.rho_a * shape.rho_b *
-                                   static_cast<double>(shape.m) *
-                                   static_cast<double>(shape.k) *
-                                   static_cast<double>(shape.n);
-        // Held back until the tile's realized density is known.
-        obs::ReprAuditRecord repr;
-        repr.op = ctx.op_id;
-        repr.ti = ti;
-        repr.tj = tj;
-        repr.k0 = mp.k0;
-        repr.k1 = mp.k1;
-        repr.m = shape.m;
-        repr.k = shape.k;
-        repr.n = shape.n;
-        repr.rho_a = shape.rho_a;
-        repr.rho_b = shape.rho_b;
-        repr.rho_c_pred = ctx.use_estimate ? rho_c : -1.0;
-        repr.rho_c_actual = -1.0;
-        repr.rho_w = ctx.rho_w;
-        repr.a_stored_dense = mp.a_tile->is_dense();
-        repr.b_stored_dense = mp.b_tile->is_dense();
-        repr.a_cached = a_cached;
-        repr.b_cached = b_cached;
-        repr.allow_conversion = ctx.dynamic_conversion;
-        repr.c_dense = c_dense;
-        repr.kernel = static_cast<int>(chosen);
-        repr.stored_cost = decision.stored_cost;
-        repr.chosen_cost = decision.projected_cost;
-        pending_repr.push_back(repr);
-      }
-#endif
-
-      PreparedPair pp;
-      pp.a_home = mp.a_tile->home_node();
-      pp.b_home = mp.b_tile->home_node();
-      // A operand: window rows = C rows, window cols = [k0, k1).
-      const Window wa{r0 - mp.a_tile->row0(), r1 - mp.a_tile->row0(),
-                      mp.k0 - mp.a_tile->col0(),
-                      mp.k1 - mp.a_tile->col0()};
-      if (decision.a_dense) {
-        const DenseMatrix& dm =
-            mp.a_tile->is_dense()
-                ? mp.a_tile->dense()
-                : ctx.a_cache->GetDense(mp.a_idx, *mp.a_tile);
-        pp.a = Operand::Dense(
-            dm.View().Window(wa.r0, wa.c0, wa.rows(), wa.cols()));
-      } else {
-        const CsrMatrix& sm =
-            mp.a_tile->is_dense()
-                ? ctx.a_cache->GetSparse(mp.a_idx, *mp.a_tile)
-                : mp.a_tile->sparse();
-        pp.a = Operand::Sparse(&sm, wa);
-      }
-      // B operand: window rows = [k0, k1), window cols = C cols.
-      const Window wb{mp.k0 - mp.b_tile->row0(), mp.k1 - mp.b_tile->row0(),
-                      c0 - mp.b_tile->col0(), c1 - mp.b_tile->col0()};
-      if (decision.b_dense) {
-        const DenseMatrix& dm =
-            mp.b_tile->is_dense()
-                ? mp.b_tile->dense()
-                : ctx.b_cache->GetDense(mp.b_idx, *mp.b_tile);
-        pp.b = Operand::Dense(
-            dm.View().Window(wb.r0, wb.c0, wb.rows(), wb.cols()));
-      } else {
-        const CsrMatrix& sm =
-            mp.b_tile->is_dense()
-                ? ctx.b_cache->GetSparse(mp.b_idx, *mp.b_tile)
-                : mp.b_tile->sparse();
-        pp.b = Operand::Sparse(&sm, wb);
-      }
-      pp.a_read_bytes = ApproxWindowBytes(decision.a_dense, shape.rho_a,
-                                          shape.m, shape.k);
-      pp.b_read_bytes = ApproxWindowBytes(decision.b_dense, shape.rho_b,
-                                          shape.k, shape.n);
-      prepared.push_back(std::move(pp));
+  prepared.reserve(plan.pairs.size());
+  for (std::size_t p = 0; p < plan.pairs.size(); ++p) {
+    const ReprAuditRecord& r = plan.pairs[p];
+    const auto [a_idx, b_idx] = plan.tiles[p];
+    const Tile& at = a.tile(a_idx);
+    const Tile& bt = b.tile(b_idx);
+    PreparedPair pp;
+    pp.a_home = at.home_node();
+    pp.b_home = bt.home_node();
+    // A operand: window rows = C rows, window cols = [k0, k1).
+    const Window wa{r0 - at.row0(), r1 - at.row0(), r.k0 - at.col0(),
+                    r.k1 - at.col0()};
+    if (r.a_dense()) {
+      const DenseMatrix& dm =
+          at.is_dense() ? at.dense() : ctx.a_cache->GetDense(a_idx, at);
+      pp.a = Operand::Dense(
+          dm.View().Window(wa.r0, wa.c0, wa.rows(), wa.cols()));
+    } else {
+      const CsrMatrix& sm =
+          at.is_dense() ? ctx.a_cache->GetSparse(a_idx, at) : at.sparse();
+      pp.a = Operand::Sparse(&sm, wa);
     }
-    // The JIT conversions run inside this timer.
-    opt_seconds += opt_timer.ElapsedSeconds();
+    // B operand: window rows = [k0, k1), window cols = C cols.
+    const Window wb{r.k0 - bt.row0(), r.k1 - bt.row0(), c0 - bt.col0(),
+                    c1 - bt.col0()};
+    if (r.b_dense()) {
+      const DenseMatrix& dm =
+          bt.is_dense() ? bt.dense() : ctx.b_cache->GetDense(b_idx, bt);
+      pp.b = Operand::Dense(
+          dm.View().Window(wb.r0, wb.c0, wb.rows(), wb.cols()));
+    } else {
+      const CsrMatrix& sm =
+          bt.is_dense() ? ctx.b_cache->GetSparse(b_idx, bt) : bt.sparse();
+      pp.b = Operand::Sparse(&sm, wb);
+    }
+    pp.a_read_bytes = ApproxWindowBytes(r.a_dense(), r.rho_a, r.m, r.k);
+    pp.b_read_bytes = ApproxWindowBytes(r.b_dense(), r.rho_b, r.k, r.n);
+    prepared.push_back(std::move(pp));
   }
+  // The JIT conversions run inside this timer.
+  opt_seconds = opt_timer.ElapsedSeconds();
 
   // --- Execute: accumulate all pairs into the C tile. -----------------
   WallTimer mult_timer;
@@ -572,9 +582,19 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
     const double area = static_cast<double>(m) * static_cast<double>(n);
     const double rho_c_actual =
         area > 0.0 ? static_cast<double>(tile_nnz) / area : 0.0;
-    for (obs::ReprAuditRecord& repr : pending_repr) {
+    // Task-level cost prediction: the pairs' chosen costs (compute plus
+    // any conversion the optimizer priced in) and the write side of the
+    // expected SPA traffic they feed.
+    double predicted_task_cost = 0.0;
+    double predicted_intermediates = 0.0;
+    for (ReprAuditRecord& repr : plan.pairs) {
       repr.rho_c_actual = rho_c_actual;
       ledger.RecordRepr(repr);
+      predicted_task_cost += repr.chosen_cost;
+      predicted_intermediates += repr.rho_a * repr.rho_b *
+                                 static_cast<double>(repr.m) *
+                                 static_cast<double>(repr.k) *
+                                 static_cast<double>(repr.n);
     }
     if (!prepared.empty()) {
       predicted_task_cost += ctx.cost_model->WriteCost(

@@ -1,7 +1,9 @@
 // The tile-granular unit of work of every product: one task produces one C
 // tile of one product A * B, running the full per-pair pipeline (window
 // matching, dynamic representation decisions with JIT conversions, kernel
-// dispatch, density bookkeeping).
+// dispatch, density bookkeeping). The match-and-decide half is the pair
+// planner (PlanTileTask), which EXPLAIN also runs, so a plan and an
+// execution make their decisions in one loop and one record type.
 //
 // ops/chain_exec.cc's product graph (RunProductGraph) schedules these
 // tasks: a standalone ATMULT is a one-node graph, a fused chain one graph
@@ -14,9 +16,12 @@
 #define ATMX_OPS_PRODUCT_TASK_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "common/config.h"
 #include "common/mutex.h"
 #include "cost/cost_model.h"
 #include "estimate/density_map.h"
@@ -125,6 +130,50 @@ struct ProductContext {
   std::uint64_t op_id = 0;
   bool ledger_enabled = false;
 };
+
+// The density-estimation phase of one product (Alg. 2 l. 2-3), shared by
+// the operator and EXPLAIN.
+struct ProductEstimate {
+  DensityMap map;        // result density estimate; empty without estimation
+  double rho_w = 0.0;    // effective write threshold rhoD_W
+  bool feasible = true;  // false when the memory SLA was unreachable
+  double seconds = 0.0;  // estimation wall time
+};
+
+// Estimates a * b (+ c_init) and solves the water level against the memory
+// SLA, unless `preset_rho_w` >= 0 (a chain-planned threshold) replaces the
+// solve. Without density estimation: no map and config.rho_write.
+ProductEstimate EstimateProduct(const ATMatrix& a, const ATMatrix& b,
+                                const ATMatrix* c_init,
+                                const AtmConfig& config,
+                                double preset_rho_w = -1.0);
+
+// Whether the other representation of tile `tile` of operand A (`a_side`)
+// or B is available from earlier tasks. Execution asks the live
+// ConversionCache; EXPLAIN asks the conversions it has planned so far.
+using ConvertedQuery = std::function<bool(bool a_side, index_t tile)>;
+
+// The optimizer's decisions for one tile task (Alg. 2 l. 6 and the
+// per-pair choice of section III-C).
+struct TaskPlan {
+  double rho_c = 0.0;    // estimated target density (0 without estimate)
+  bool c_dense = false;  // C tile representation
+  // One decision record per contributing tile pair, in band-merge order,
+  // and the (A tile, B tile) indices each record multiplies.
+  std::vector<ReprAuditRecord> pairs;
+  std::vector<std::pair<index_t, index_t>> tiles;
+};
+
+// The pair planner: matches the band tiles of task (ti, tj) along the
+// contraction dimension (Fig. 4) and decides each pair's representations.
+// A pair counts a tile's other representation as available when
+// `converted` says so or an earlier pair of the same task chose it (on
+// either side when the operands share one conversion cache). Reads ctx's
+// operands, block, use_estimate/estimate, rho_w, dynamic_conversion,
+// cost_model, op_id and whether a_cache == b_cache; no kernel runs and
+// nothing converts.
+TaskPlan PlanTileTask(const ProductContext& ctx, index_t ti, index_t tj,
+                      const ConvertedQuery& converted);
 
 // Runs task `task` (= ti * b.num_col_bands() + tj): produces the C tile
 // for row band ti x col band tj into (*ctx.c_tiles)[task], accumulates the

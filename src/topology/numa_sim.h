@@ -1,20 +1,14 @@
-// NUMA placement model and locality accounting (section III-F).
+// Simulated NUMA distances (section III-F).
 //
 // The paper distributes matrix tile-rows round-robin across the memory
 // nodes, pins each worker team to one socket, and relies on first-touch so
-// the result inherits A's distribution. On hardware without multiple
-// sockets the *placement decisions* still execute identically; what cannot
-// be observed as wall-time is reported as local/remote traffic statistics
-// instead (see DESIGN.md, substitutions).
+// the result inherits A's distribution. Placement is AssignHomeNodes
+// (tile/partitioner.cc) and local/remote traffic is counted per tile task
+// (ops/product_task.cc); this header only models the hop distance the
+// work-stealing scheduler orders its victims by.
 
 #ifndef ATMX_TOPOLOGY_NUMA_SIM_H_
 #define ATMX_TOPOLOGY_NUMA_SIM_H_
-
-#include <atomic>
-#include <cstdint>
-#include <string>
-
-#include "common/types.h"
 
 namespace atmx {
 
@@ -28,66 +22,6 @@ inline int NumaDistance(int a, int b, int num_nodes) {
   const int d = a > b ? a - b : b - a;
   return d < num_nodes - d ? d : num_nodes - d;
 }
-
-// Round-robin tile-row -> memory-node assignment. All matrices use the same
-// scheme because "it is generally unknown whether a matrix will take part as
-// the left or the right operand".
-class NumaPlacement {
- public:
-  explicit NumaPlacement(int num_nodes) : num_nodes_(num_nodes) {}
-
-  int num_nodes() const { return num_nodes_; }
-
-  // Home memory node of the given tile-row band.
-  int NodeOfTileRow(index_t tile_row) const {
-    return static_cast<int>(tile_row % num_nodes_);
-  }
-
- private:
-  int num_nodes_;
-};
-
-// Thread-safe counters of memory traffic split by whether the touched tile
-// lives on the executing team's node.
-class LocalityStats {
- public:
-  void RecordRead(int exec_node, int data_node, std::uint64_t bytes) {
-    if (exec_node == data_node) {
-      local_read_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    } else {
-      remote_read_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    }
-  }
-
-  void RecordWrite(int exec_node, int data_node, std::uint64_t bytes) {
-    if (exec_node == data_node) {
-      local_write_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    } else {
-      remote_write_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    }
-  }
-
-  void Reset();
-
-  std::uint64_t local_read_bytes() const { return local_read_bytes_.load(); }
-  std::uint64_t remote_read_bytes() const { return remote_read_bytes_.load(); }
-  std::uint64_t local_write_bytes() const { return local_write_bytes_.load(); }
-  std::uint64_t remote_write_bytes() const {
-    return remote_write_bytes_.load();
-  }
-
-  // Fraction of all recorded traffic that was node-local (1.0 when nothing
-  // was recorded).
-  double LocalFraction() const;
-
-  std::string ToString() const;
-
- private:
-  std::atomic<std::uint64_t> local_read_bytes_{0};
-  std::atomic<std::uint64_t> remote_read_bytes_{0};
-  std::atomic<std::uint64_t> local_write_bytes_{0};
-  std::atomic<std::uint64_t> remote_write_bytes_{0};
-};
 
 }  // namespace atmx
 

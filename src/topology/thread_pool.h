@@ -30,7 +30,7 @@ namespace atmx {
 // A fixed group of persistent threads that execute broadcast jobs. On real
 // NUMA hardware the team would be pinned to one socket; this reproduction
 // records the socket id so placement decisions and locality accounting work
-// identically (see numa_sim.h).
+// identically.
 class WorkerTeam {
  public:
   // team_id doubles as the NUMA node the team is (logically) pinned to.

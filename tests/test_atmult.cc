@@ -11,6 +11,7 @@
 #include "gen/synthetic.h"
 #include "kernels/kernel_dispatch.h"
 #include "kernels/sparse_kernels.h"
+#include "ops/chain.h"
 #include "ops/explain.h"
 #include "storage/convert.h"
 #include "tests/test_util.h"
@@ -152,9 +153,8 @@ class AtMultParallelTest : public ::testing::TestWithParam<ParallelCase> {};
 
 TEST_P(AtMultParallelTest, ResultIndependentOfParallelism) {
   AtmConfig config = TestConfig();
-  config.num_worker_teams = GetParam().teams;
-  config.threads_per_team = GetParam().threads;
   config.num_sockets = GetParam().teams;
+  config.cores_per_socket = GetParam().threads;
   CooMatrix a = GenerateDiagonalDenseBlocks(128, 4, 24, 0.9, 500, 13);
   CooMatrix b = RandomCoo(128, 128, 1200, 14);
   ExpectProductMatches(a, b, config);
@@ -304,6 +304,22 @@ TEST(AtMultStatsTest, OperandSidesNeverShareConversions) {
 }
 
 #if defined(ATMX_OBS_ENABLED)
+// Dense P, near-threshold sparse X and dense S in a 2 x 2 tile grid:
+// task (0, 1) of A * A runs the pair (P, X), which converts X, before
+// the pair (X, S), which reads X as its A operand.
+CooMatrix SideSwitchingCoo() {
+  CooMatrix coo(64, 64);
+  for (index_t r = 0; r < 32; ++r) {
+    for (index_t c = 0; c < 32; ++c) {
+      coo.Add(r, c, 1.0 + 0.01 * static_cast<double>(r + c));
+      coo.Add(r + 32, c + 32, 2.0 - 0.01 * static_cast<double>(r + c));
+    }
+  }
+  const CooMatrix x = GenerateDiagonalDenseBlocks(32, 1, 32, 0.22, 0, 5);
+  for (const CooEntry& e : x.entries()) coo.Add(e.row, e.col + 32, e.value);
+  return coo;
+}
+
 // The decision table counts a JIT conversion only where one ran: a
 // representation change served by the conversion cache is not one. On
 // one team its count is exactly the operator's conversion stats.
@@ -326,6 +342,31 @@ TEST(AtMultStatsTest, DecisionTableCountsOnlyFreshConversions) {
                          std::to_string(conversions) + " JIT conversions"),
             std::string::npos)
       << summary;
+
+  // A chain multiplying a source matrix by itself gives both operands one
+  // conversion cache: X, converted by one pair of a task on the B side, is
+  // no fresh conversion for the later pair reading it on the A side.
+  const ATMatrix s = PartitionToAtm(SideSwitchingCoo(), config);
+  const std::vector<const ATMatrix*> chain = {&s, &s, &s};
+  const ChainPlan plan = PlanChain(
+      {&s.density_map(), &s.density_map(), &s.density_map()},
+      op.cost_model(), config.rho_write);
+  ledger.Clear();
+  ledger.SetEnabled(true);
+  ChainExecStats chain_stats;
+  (void)ExecuteChain(chain, plan, op, &chain_stats);
+  ledger.SetEnabled(false);
+  const index_t chain_conversions =
+      chain_stats.total.sparse_to_dense_conversions +
+      chain_stats.total.dense_to_sparse_conversions;
+  ASSERT_GT(chain_conversions, 0);
+  const std::string chain_summary =
+      FormatDecisionLog(ledger.Snapshot().repr);
+  EXPECT_NE(chain_summary.find(" decisions, " +
+                               std::to_string(chain_conversions) +
+                               " JIT conversions"),
+            std::string::npos)
+      << chain_summary;
   ledger.Clear();
 }
 #endif

@@ -48,7 +48,6 @@ using obs::Percentile;
 using obs::RenderAuditEnvelopeJson;
 using obs::RenderAuditLedgerJson;
 using obs::RenderAuditReportText;
-using obs::ReprAuditRecord;
 using obs::SpaModeAuditRecord;
 using obs::SymmetricRelError;
 using obs::WaterLevelAuditRecord;

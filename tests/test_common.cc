@@ -119,10 +119,6 @@ TEST(ConfigTest, EffectiveParallelismDefaults) {
   config.cores_per_socket = 10;
   EXPECT_EQ(config.EffectiveTeams(), 4);
   EXPECT_EQ(config.EffectiveThreadsPerTeam(), 10);
-  config.num_worker_teams = 2;
-  config.threads_per_team = 3;
-  EXPECT_EQ(config.EffectiveTeams(), 2);
-  EXPECT_EQ(config.EffectiveThreadsPerTeam(), 3);
 }
 
 TEST(ConfigTest, ToStringMentionsKeyFields) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <deque>
+
 #include "gen/synthetic.h"
 #include "ops/atmult.h"
 #include "storage/convert.h"
@@ -71,6 +74,81 @@ TEST(ExplainTest, PredictsConversions) {
   EXPECT_EQ(plan.planned_conversions,
             stats.sparse_to_dense_conversions +
                 stats.dense_to_sparse_conversions);
+}
+
+// EXPLAIN and execution share one pair planner. On one team with static
+// queues tasks execute in the (ti, tj) order EXPLAIN plans them, so the
+// plan is the executed decision stream record for record — also without
+// dynamic conversion, where every pair is priced at its stored kernel.
+TEST(ExplainTest, PlanEqualsExecutedDecisions) {
+  CostParams leveled;
+  leveled.c_sdd_panel = leveled.c_sdd;
+  struct Case {
+    CooMatrix a, b;
+    index_t llc_bytes;
+    CostParams params;
+    bool dynamic_conversion;
+  };
+  const Case cases[] = {
+      {GenerateDiagonalDenseBlocks(96, 3, 32, 0.22, 100, 17),
+       DenseToCoo(GenerateFullDense(96, 96, 18)), 16 * 1024, leveled, true},
+      {GenerateDiagonalDenseBlocks(96, 3, 16, 0.9, 300, 1),
+       GenerateDiagonalDenseBlocks(96, 3, 16, 0.9, 300, 1), 1 << 20,
+       CostParams(), true},
+      {GenerateDiagonalDenseBlocks(96, 3, 32, 0.22, 100, 17),
+       DenseToCoo(GenerateFullDense(96, 96, 18)), 16 * 1024, leveled, false},
+  };
+  for (const Case& c : cases) {
+    AtmConfig config = ExplainConfig();
+    config.llc_bytes = c.llc_bytes;
+    config.num_sockets = 1;
+    config.cores_per_socket = 1;
+    config.work_stealing = false;
+    config.dynamic_conversion = c.dynamic_conversion;
+    const ATMatrix atm_a = PartitionToAtm(c.a, config);
+    const ATMatrix atm_b = PartitionToAtm(c.b, config);
+    const CostModel model(c.params);
+
+    const MultiplyPlan plan = ExplainMultiply(atm_a, atm_b, config, model);
+    ASSERT_FALSE(plan.pairs.empty());
+#if defined(ATMX_OBS_ENABLED)
+    obs::AuditLedger& ledger = obs::AuditLedger::Global();
+    ledger.Clear();
+    ledger.SetEnabled(true);
+#endif
+    AtMultStats stats;
+    AtMult(config, model).Multiply(atm_a, atm_b, &stats);
+    EXPECT_EQ(static_cast<index_t>(plan.pairs.size()),
+              stats.pair_multiplications);
+    EXPECT_EQ(plan.planned_conversions,
+              stats.sparse_to_dense_conversions +
+                  stats.dense_to_sparse_conversions);
+    std::array<index_t, kNumKernelTypes> kernels{};
+    for (const ReprAuditRecord& p : plan.pairs) ++kernels[p.kernel];
+    for (int v = 0; v < kNumKernelTypes; ++v) {
+      EXPECT_EQ(kernels[v], stats.kernel_invocations[v])
+          << KernelTypeName(static_cast<KernelType>(v));
+    }
+#if defined(ATMX_OBS_ENABLED)
+    ledger.SetEnabled(false);
+    const std::deque<ReprAuditRecord> executed = ledger.Snapshot().repr;
+    ledger.Clear();
+    ASSERT_EQ(plan.pairs.size(), executed.size());
+    for (std::size_t i = 0; i < executed.size(); ++i) {
+      // Execution stamps the op id and the realized tile density.
+      ReprAuditRecord planned = plan.pairs[i];
+      planned.op = executed[i].op;
+      planned.rho_c_actual = executed[i].rho_c_actual;
+      EXPECT_TRUE(planned == executed[i])
+          << "pair " << i << " C(" << planned.ti << "," << planned.tj
+          << ") k[" << planned.k0 << "," << planned.k1 << "): planned "
+          << KernelTypeName(static_cast<KernelType>(planned.kernel))
+          << " cost " << planned.chosen_cost << ", executed "
+          << KernelTypeName(static_cast<KernelType>(executed[i].kernel))
+          << " cost " << executed[i].chosen_cost;
+    }
+#endif
+  }
 }
 
 TEST(ExplainTest, EstimateFieldsPopulated) {

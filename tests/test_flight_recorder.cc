@@ -70,7 +70,7 @@ TEST(FlightRecorderTest, DumpNowWritesParseableSchemaCompleteJson) {
       .GetCounter("flight_test.events")
       .Add(7);
   obs::AuditLedger& ledger = obs::AuditLedger::Global();
-  obs::ReprAuditRecord record;
+  ReprAuditRecord record;
   record.op = ledger.NextOpId();
   record.ti = 3;
   ledger.RecordRepr(record);

@@ -121,9 +121,8 @@ TEST(MultiplyAddTest, AccumulatorWithDifferentTiling) {
 
 TEST(MultiplyAddTest, ParallelTeamsAgree) {
   AtmConfig config = TestConfig();
-  config.num_worker_teams = 3;
-  config.threads_per_team = 2;
   config.num_sockets = 3;
+  config.cores_per_socket = 2;
   CooMatrix a = GenerateDiagonalDenseBlocks(96, 3, 16, 0.8, 300, 12);
   CooMatrix c0 = RandomCoo(96, 96, 500, 13);
   ExpectMultiplyAddMatches(c0, a, a, config);

@@ -30,7 +30,6 @@ using atmx::testing::RandomCoo;
 using obs::AuditLedger;
 using obs::AuditLedgerDoc;
 using obs::MetricsRegistry;
-using obs::ReprAuditRecord;
 using obs::TraceRecorder;
 
 AtmConfig TestConfig() {

@@ -190,7 +190,7 @@ TEST(ObsRaceStressTest, AuditLedgerRecordVsSnapshot) {
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       for (int round = 0; round < kRounds; ++round) {
-        obs::ReprAuditRecord record;
+        ReprAuditRecord record;
         record.op = ledger.NextOpId();
         record.ti = w;
         record.tj = round;

@@ -71,8 +71,7 @@ TEST(SchedulerDeterminismTest, BitwiseIdenticalAcrossStealingAndTeams) {
       config.b_atomic = 64;
       config.llc_bytes = 1 << 18;
       config.num_sockets = teams;
-      config.num_worker_teams = teams;
-      config.threads_per_team = 2;
+      config.cores_per_socket = 2;
       config.work_stealing = stealing;
       ATMatrix atm = PartitionToAtm(coo, config);
       AtMult op(config);

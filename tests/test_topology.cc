@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "topology/numa_sim.h"
 #include "topology/system_topology.h"
 #include "topology/tile_size_policy.h"
 
@@ -58,30 +57,6 @@ TEST(TileSizePolicyTest, SparseMemoryBoundRejectsHeavyTiles) {
   // 1 MB / 3 bytes budget => about 21845 elements of 16 B.
   EXPECT_TRUE(policy.SparseTileFits(1000, 20000));
   EXPECT_FALSE(policy.SparseTileFits(1000, 30000));
-}
-
-TEST(NumaPlacementTest, RoundRobinTileRows) {
-  NumaPlacement placement(4);
-  EXPECT_EQ(placement.NodeOfTileRow(0), 0);
-  EXPECT_EQ(placement.NodeOfTileRow(1), 1);
-  EXPECT_EQ(placement.NodeOfTileRow(5), 1);
-  EXPECT_EQ(placement.NodeOfTileRow(7), 3);
-}
-
-TEST(LocalityStatsTest, TracksLocalAndRemote) {
-  LocalityStats stats;
-  stats.RecordRead(0, 0, 100);
-  stats.RecordRead(0, 1, 50);
-  stats.RecordWrite(1, 1, 200);
-  stats.RecordWrite(1, 0, 25);
-  EXPECT_EQ(stats.local_read_bytes(), 100u);
-  EXPECT_EQ(stats.remote_read_bytes(), 50u);
-  EXPECT_EQ(stats.local_write_bytes(), 200u);
-  EXPECT_EQ(stats.remote_write_bytes(), 25u);
-  EXPECT_NEAR(stats.LocalFraction(), 300.0 / 375.0, 1e-12);
-  stats.Reset();
-  EXPECT_EQ(stats.local_read_bytes(), 0u);
-  EXPECT_DOUBLE_EQ(stats.LocalFraction(), 1.0);
 }
 
 }  // namespace

@@ -62,6 +62,14 @@ The checks (each with a self-test in tools/test_atmx_lint.py):
                          contract is snapshot under the lock, render and
                          write lock-free (AuditLedger::WriteJson).
 
+  single-decision-site   Outside src/ops/optimizer.cc (the definition),
+                         src/ops/product_task.cc (the pair planner) and
+                         src/obs/audit_ledger.cc (the counterfactual
+                         replay), no file under src/ may call
+                         DecidePairRepresentations. Execution and EXPLAIN
+                         both run the pair planner, so a second decision
+                         loop would let a plan drift from what executes.
+
 Exit status 0 when clean, 1 when any check reports a violation, 2 on usage
 errors. Output is one `path:line: [check] message` per violation, so the
 format is grep- and CI-annotation-friendly.
@@ -452,6 +460,40 @@ def check_no_lock_across_file_io(repo: str) -> List[Violation]:
 
 
 # --------------------------------------------------------------------------
+# Check: single-decision-site
+
+DECISION_CALL_RE = re.compile(r"\bDecidePairRepresentations\s*\(")
+DECISION_DECL_RE = re.compile(r"\bPairDecision\s+$")
+DECISION_SITES = (
+    os.path.join("ops", "optimizer.cc"),
+    os.path.join("ops", "product_task.cc"),
+    os.path.join("obs", "audit_ledger.cc"),
+)
+
+
+def check_single_decision_site(repo: str) -> List[Violation]:
+    violations = []
+    for path in iter_files(repo, "src", (".cc", ".h")):
+        rel = os.path.relpath(path, os.path.join(repo, "src"))
+        if rel in DECISION_SITES:
+            continue
+        code = strip_comments_and_strings(read(path))
+        for m in DECISION_CALL_RE.finditer(code):
+            # The declaration names the function after its return type.
+            if DECISION_DECL_RE.search(code, max(0, m.start() - 40),
+                                       m.start()):
+                continue
+            violations.append(Violation(
+                path, code.count("\n", 0, m.start()) + 1,
+                "single-decision-site",
+                "DecidePairRepresentations called outside the pair planner "
+                "(ops/product_task.cc) and the audit replay; plan pairs "
+                "with PlanTileTask so EXPLAIN and execution share one "
+                "decision loop"))
+    return violations
+
+
+# --------------------------------------------------------------------------
 # Optional clang-query pass
 
 def run_clang_query(repo: str, build_dir: str) -> int:
@@ -492,6 +534,7 @@ CHECKS: dict = {
     "lock-order-doc": check_lock_order_doc,
     "no-lock-across-callback": check_no_lock_across_callback,
     "no-lock-across-file-io": check_no_lock_across_file_io,
+    "single-decision-site": check_single_decision_site,
 }
 
 

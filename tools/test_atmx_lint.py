@@ -349,6 +349,30 @@ class LintCheckTest(unittest.TestCase):
             "}\n"))
         self.assertEqual(self.run_check("no-lock-across-file-io"), [])
 
+    # -- single-decision-site ----------------------------------------------
+
+    def test_second_decision_loop_flagged(self):
+        self.repo.write("src/ops/explain.cc", (
+            "MultiplyPlan ExplainMultiply() {\n"
+            "  const PairDecision d = DecidePairRepresentations(\n"
+            "      model, shape, false, false, false, false, c, true);\n"
+            "}\n"))
+        v = self.run_check("single-decision-site")
+        self.assertEqual(len(v), 1)
+        self.assertEqual(v[0].line, 2)
+        self.assertIn("pair planner", v[0].message)
+
+    def test_decision_sites_and_declaration_clean(self):
+        call = "  DecidePairRepresentations(m, s, a, b, ac, bc, c, true);\n"
+        for rel in ("src/ops/optimizer.cc", "src/ops/product_task.cc",
+                    "src/obs/audit_ledger.cc"):
+            self.repo.write(rel, "void F() {\n" + call + "}\n")
+        self.repo.write("src/ops/optimizer.h", (
+            "// DecidePairRepresentations(...) picks the kernel.\n"
+            "PairDecision DecidePairRepresentations(const CostModel& model,\n"
+            "                                       bool allow_conversion);\n"))
+        self.assertEqual(self.run_check("single-decision-site"), [])
+
 
 class RealRepoTest(unittest.TestCase):
     """The actual repository must satisfy every invariant."""
