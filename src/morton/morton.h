@@ -1,8 +1,8 @@
-// Z-curve (Morton order) encoding for the locality-aware element reordering
-// of section II-C1. The Z-value of an element is the bit-interleave of its
-// (row, column) coordinates; sorting elements by Z-value stores every aligned
-// power-of-two quadrant contiguously, which is what the recursive quadtree
-// partitioner (Alg. 1) relies on.
+// Z-curve (Morton order) encoding for the locality-aware reordering of
+// section II-C1. The Z-value of an atomic block is the bit-interleave of its
+// (row, column) block coordinates; ordering entries by block Z-value stores
+// every aligned power-of-two quadrant contiguously, which is what the
+// recursive quadtree partitioner (Alg. 1) relies on.
 
 #ifndef ATMX_MORTON_MORTON_H_
 #define ATMX_MORTON_MORTON_H_

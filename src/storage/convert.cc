@@ -9,60 +9,75 @@
 
 namespace atmx {
 
-CsrMatrix CooToCsr(const CooMatrix& coo) {
-  const index_t rows = coo.rows();
-  const index_t nnz = coo.nnz();
+CsrMatrix CooWindowToCsr(std::span<const CooEntry> entries, index_t row0,
+                         index_t col0, index_t rows, index_t cols) {
   std::vector<index_t> row_ptr(rows + 1, 0);
-  for (const CooEntry& e : coo.entries()) row_ptr[e.row + 1]++;
+  for (const CooEntry& e : entries) row_ptr[e.row - row0 + 1]++;
   for (index_t i = 0; i < rows; ++i) row_ptr[i + 1] += row_ptr[i];
 
-  std::vector<index_t> col_idx(nnz);
-  std::vector<value_t> values(nnz);
+  std::vector<index_t> col_idx(entries.size());
+  std::vector<value_t> values(entries.size());
   std::vector<index_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
-  for (const CooEntry& e : coo.entries()) {
-    const index_t p = cursor[e.row]++;
-    col_idx[p] = e.col;
+  for (const CooEntry& e : entries) {
+    const index_t p = cursor[e.row - row0]++;
+    col_idx[p] = e.col - col0;
     values[p] = e.value;
   }
 
-  // Sort columns within each row and sum duplicates.
+  // Sort the columns of out-of-order rows and sum duplicates, compacting
+  // in place: row i's output starts at `out`, never past its input.
   index_t out = 0;
-  std::vector<index_t> new_row_ptr(rows + 1, 0);
   std::vector<std::pair<index_t, value_t>> row_buf;
   for (index_t i = 0; i < rows; ++i) {
     const index_t begin = row_ptr[i];
     const index_t end = row_ptr[i + 1];
-    row_buf.clear();
-    for (index_t p = begin; p < end; ++p) {
-      row_buf.emplace_back(col_idx[p], values[p]);
-    }
-    std::sort(row_buf.begin(), row_buf.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (std::size_t k = 0; k < row_buf.size();) {
-      index_t col = row_buf[k].first;
-      value_t sum = 0.0;
-      while (k < row_buf.size() && row_buf[k].first == col) {
-        sum += row_buf[k].second;
-        ++k;
+    row_ptr[i] = out;
+    if (!std::is_sorted(col_idx.begin() + begin, col_idx.begin() + end)) {
+      row_buf.clear();
+      for (index_t p = begin; p < end; ++p) {
+        row_buf.emplace_back(col_idx[p], values[p]);
       }
+      std::stable_sort(
+          row_buf.begin(), row_buf.end(),
+          [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (index_t p = begin; p < end; ++p) {
+        col_idx[p] = row_buf[p - begin].first;
+        values[p] = row_buf[p - begin].second;
+      }
+    }
+    for (index_t p = begin; p < end;) {
+      const index_t col = col_idx[p];
+      value_t sum = 0.0;
+      for (; p < end && col_idx[p] == col; ++p) sum += values[p];
       col_idx[out] = col;
       values[out] = sum;
       ++out;
     }
-    new_row_ptr[i + 1] = out;
   }
+  row_ptr[rows] = out;
   col_idx.resize(out);
   values.resize(out);
-  CsrMatrix csr(rows, coo.cols(), std::move(new_row_ptr), std::move(col_idx),
+  CsrMatrix csr(rows, cols, std::move(row_ptr), std::move(col_idx),
                 std::move(values));
-  ATMX_VALIDATE_CSR(csr, "CooToCsr");
+  ATMX_VALIDATE_CSR(csr, "CooWindowToCsr");
   return csr;
 }
 
-DenseMatrix CooToDense(const CooMatrix& coo) {
-  DenseMatrix dense(coo.rows(), coo.cols());
-  for (const CooEntry& e : coo.entries()) dense.At(e.row, e.col) += e.value;
+DenseMatrix CooWindowToDense(std::span<const CooEntry> entries, index_t row0,
+                             index_t col0, index_t rows, index_t cols) {
+  DenseMatrix dense(rows, cols);
+  for (const CooEntry& e : entries) {
+    dense.At(e.row - row0, e.col - col0) += e.value;
+  }
   return dense;
+}
+
+CsrMatrix CooToCsr(const CooMatrix& coo) {
+  return CooWindowToCsr(coo.entries(), 0, 0, coo.rows(), coo.cols());
+}
+
+DenseMatrix CooToDense(const CooMatrix& coo) {
+  return CooWindowToDense(coo.entries(), 0, 0, coo.rows(), coo.cols());
 }
 
 DenseMatrix CsrToDense(const CsrMatrix& csr) {

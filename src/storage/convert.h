@@ -5,16 +5,31 @@
 #ifndef ATMX_STORAGE_CONVERT_H_
 #define ATMX_STORAGE_CONVERT_H_
 
+#include <span>
+
 #include "storage/coo_matrix.h"
 #include "storage/csr_matrix.h"
 #include "storage/dense_matrix.h"
 
 namespace atmx {
 
-// COO -> CSR. Entries may be in any order; duplicates are summed.
+// COO window -> CSR of shape rows x cols: every entry lies in the window
+// whose top-left element is (row0, col0), and coordinates are rebased to
+// it. Entries may be in any order. A row is column-sorted only when its
+// entries arrive out of order, and the sort is stable, so duplicates are
+// summed in input order.
+CsrMatrix CooWindowToCsr(std::span<const CooEntry> entries, index_t row0,
+                         index_t col0, index_t rows, index_t cols);
+
+// COO window -> dense array of shape rows x cols, rebased as above.
+// Duplicates are summed.
+DenseMatrix CooWindowToDense(std::span<const CooEntry> entries, index_t row0,
+                             index_t col0, index_t rows, index_t cols);
+
+// COO -> CSR, the full-window CooWindowToCsr.
 CsrMatrix CooToCsr(const CooMatrix& coo);
 
-// COO -> dense array. Duplicates are summed.
+// COO -> dense array, the full-window CooWindowToDense.
 DenseMatrix CooToDense(const CooMatrix& coo);
 
 // CSR -> dense array.

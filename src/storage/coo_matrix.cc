@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "morton/morton.h"
 
 namespace atmx {
 
@@ -22,13 +21,6 @@ void CooMatrix::Add(index_t row, index_t col, value_t value) {
   ATMX_DCHECK(row >= 0 && row < rows_);
   ATMX_DCHECK(col >= 0 && col < cols_);
   entries_.push_back({row, col, value});
-}
-
-void CooMatrix::SortByMorton() {
-  std::sort(entries_.begin(), entries_.end(),
-            [](const CooEntry& a, const CooEntry& b) {
-              return MortonEncode(a.row, a.col) < MortonEncode(b.row, b.col);
-            });
 }
 
 void CooMatrix::SortRowMajor() {
@@ -53,14 +45,6 @@ void CooMatrix::CoalesceDuplicates() {
     i = j;
   }
   entries_.resize(out);
-}
-
-bool CooMatrix::IsMortonSorted() const {
-  return std::is_sorted(entries_.begin(), entries_.end(),
-                        [](const CooEntry& a, const CooEntry& b) {
-                          return MortonEncode(a.row, a.col) <
-                                 MortonEncode(b.row, b.col);
-                        });
 }
 
 }  // namespace atmx

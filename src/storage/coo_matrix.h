@@ -41,19 +41,12 @@ class CooMatrix {
 
   void Reserve(std::size_t n) { entries_.reserve(n); }
 
-  // Sorts entries by the Z-value (Morton code) of their coordinates —
-  // the locality-aware element reordering of section II-C1.
-  void SortByMorton();
-
   // Sorts entries row-major (row, then column).
   void SortRowMajor();
 
   // Sums duplicate coordinates into a single entry (requires no particular
   // input order; output is row-major sorted).
   void CoalesceDuplicates();
-
-  // True if entries are sorted by Morton code.
-  bool IsMortonSorted() const;
 
  private:
   index_t rows_ = 0;

@@ -1,6 +1,6 @@
 // Versioned binary serialization of the matrix representations, so that
 // partitioned AT MATRICES can be persisted and reloaded without paying the
-// Z-sort + quadtree partitioning again — the restructuring cost of Fig. 7
+// Z-ordering + quadtree partitioning again — the restructuring cost of Fig. 7
 // is a one-time cost per matrix in a database setting.
 //
 // Format: 8-byte magic "ATMXBIN1", a type tag, then type-specific payload.

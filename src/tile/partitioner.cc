@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/math_util.h"
-#include "common/radix_sort.h"
 #include "common/timer.h"
 #include "morton/morton.h"
 #include "obs/obs.h"
@@ -39,9 +39,10 @@ struct NodeResult {
 };
 
 struct PartitionContext {
-  const CooMatrix* coo = nullptr;                 // Z-sorted entries
-  const std::vector<std::uint64_t>* zcodes = nullptr;  // element Z-values
-  std::vector<index_t> block_counts;              // Z-ordered; -1 == OOB
+  std::span<const CooEntry> entries;  // in atomic-block Z-order
+  // Atomic block z (Z-order) holds entries [block_start[z],
+  // block_start[z + 1]); the last slot is the entry count.
+  std::vector<index_t> block_start;
   index_t b = 1;                                  // atomic block edge
   int log2_b = 0;
   index_t rows = 0;
@@ -51,8 +52,14 @@ struct PartitionContext {
   bool allow_melt = true;
   const TileSizePolicy* policy = nullptr;
   std::vector<Tile> tiles;
+  bool repeats = false;  // some tile holds fewer non-zeros than entries
   AccumulatingTimer materialize_timer;
 };
+
+std::uint64_t BlockZ(const PartitionContext& ctx, const CooEntry& e) {
+  ATMX_DCHECK(e.row < ctx.rows && e.col < ctx.cols);
+  return MortonEncode(e.row >> ctx.log2_b, e.col >> ctx.log2_b);
+}
 
 // Geometry of the aligned block square covered by block-Z-range [z0, z1),
 // clipped to the matrix bounds.
@@ -73,76 +80,24 @@ RegionBox RegionOf(const PartitionContext& ctx, std::uint64_t z0,
   return box;
 }
 
-// Builds the CSR payload of a tile from its (Morton-contiguous) element
-// slice via a counting sort over local rows, then a per-row column sort.
-CsrMatrix CsrFromSlice(const CooEntry* entries, index_t count, index_t r0,
-                       index_t c0, index_t rows, index_t cols) {
-  std::vector<index_t> row_ptr(rows + 1, 0);
-  for (index_t e = 0; e < count; ++e) row_ptr[entries[e].row - r0 + 1]++;
-  for (index_t i = 0; i < rows; ++i) row_ptr[i + 1] += row_ptr[i];
-
-  std::vector<index_t> col_idx(count);
-  std::vector<value_t> values(count);
-  std::vector<index_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
-  for (index_t e = 0; e < count; ++e) {
-    const index_t p = cursor[entries[e].row - r0]++;
-    col_idx[p] = entries[e].col - c0;
-    values[p] = entries[e].value;
-  }
-  // Sort columns within each row (paper: sorted at creation time to enable
-  // binary column-id search).
-  std::vector<std::pair<index_t, value_t>> row_buf;
-  for (index_t i = 0; i < rows; ++i) {
-    const index_t begin = row_ptr[i];
-    const index_t end = row_ptr[i + 1];
-    if (end - begin <= 1 ||
-        std::is_sorted(col_idx.begin() + begin, col_idx.begin() + end)) {
-      continue;
-    }
-    row_buf.clear();
-    for (index_t p = begin; p < end; ++p) {
-      row_buf.emplace_back(col_idx[p], values[p]);
-    }
-    std::sort(row_buf.begin(), row_buf.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (index_t p = begin; p < end; ++p) {
-      col_idx[p] = row_buf[p - begin].first;
-      values[p] = row_buf[p - begin].second;
-    }
-  }
-  return CsrMatrix(rows, cols, std::move(row_ptr), std::move(col_idx),
-                   std::move(values));
-}
-
-// Materializes the region [z0, z1) as one tile of the given class.
+// Materializes the region [z0, z1) as one tile of the given class from its
+// contiguous slice of the block-ordered staging table.
 void MaterializeRegion(PartitionContext* ctx, std::uint64_t z0,
-                       std::uint64_t z1, index_t nnz, bool dense_class) {
+                       std::uint64_t z1, bool dense_class) {
   ctx->materialize_timer.Resume();
   const RegionBox box = RegionOf(*ctx, z0, z1);
-  // Element slice: block range [z0, z1) covers element Z-values
-  // [z0 * b^2, z1 * b^2).
-  const auto& zcodes = *ctx->zcodes;
-  const std::uint64_t e_lo = z0 << (2 * ctx->log2_b);
-  const std::uint64_t e_hi = z1 << (2 * ctx->log2_b);
-  const auto it_lo = std::lower_bound(zcodes.begin(), zcodes.end(), e_lo);
-  const auto it_hi = std::lower_bound(zcodes.begin(), zcodes.end(), e_hi);
-  const index_t first = it_lo - zcodes.begin();
-  const index_t count = it_hi - it_lo;
-  ATMX_CHECK_EQ(count, nnz);
-  const CooEntry* slice = ctx->coo->entries().data() + first;
-
-  if (dense_class) {
-    DenseMatrix payload(box.rows, box.cols);
-    for (index_t e = 0; e < count; ++e) {
-      payload.At(slice[e].row - box.r0, slice[e].col - box.c0) +=
-          slice[e].value;
-    }
-    ctx->tiles.push_back(Tile::MakeDense(box.r0, box.c0, std::move(payload)));
-  } else {
-    ctx->tiles.push_back(Tile::MakeSparse(
-        box.r0, box.c0,
-        CsrFromSlice(slice, count, box.r0, box.c0, box.rows, box.cols)));
-  }
+  const index_t first = ctx->block_start[z0];
+  const index_t count = ctx->block_start[z1] - first;
+  const std::span<const CooEntry> slice = ctx->entries.subspan(first, count);
+  ctx->tiles.push_back(
+      dense_class
+          ? Tile::MakeDense(box.r0, box.c0,
+                            CooWindowToDense(slice, box.r0, box.c0, box.rows,
+                                             box.cols))
+          : Tile::MakeSparse(box.r0, box.c0,
+                             CooWindowToCsr(slice, box.r0, box.c0, box.rows,
+                                            box.cols)));
+  ctx->repeats |= ctx->tiles.back().nnz() < count;
   ctx->materialize_timer.Pause();
 }
 
@@ -153,9 +108,12 @@ void MaterializeRegion(PartitionContext* ctx, std::uint64_t z0,
 NodeResult RecQtPart(PartitionContext* ctx, std::uint64_t z0,
                      std::uint64_t z1) {
   if (z1 - z0 == 1) {
-    const index_t count = ctx->block_counts[z0];
-    if (count < 0) return {NodeStatus::kOutOfBounds, 0, false};
+    // Padding blocks of the Z-space lie wholly outside the matrix.
     const RegionBox box = RegionOf(*ctx, z0, z1);
+    if (box.rows <= 0 || box.cols <= 0) {
+      return {NodeStatus::kOutOfBounds, 0, false};
+    }
+    const index_t count = ctx->block_start[z1] - ctx->block_start[z0];
     const double area =
         static_cast<double>(box.rows) * static_cast<double>(box.cols);
     const double rho = area > 0 ? static_cast<double>(count) / area : 0.0;
@@ -215,51 +173,24 @@ NodeResult RecQtPart(PartitionContext* ctx, std::uint64_t z0,
   // child as its own tile.
   for (int q = 0; q < 4; ++q) {
     if (child[q].status == NodeStatus::kForward) {
-      MaterializeRegion(ctx, quads[q].start, quads[q].end, child[q].nnz,
+      MaterializeRegion(ctx, quads[q].start, quads[q].end,
                         child[q].dense_class);
     }
   }
   return {NodeStatus::kMaterialized, total_nnz, false};
 }
 
-DensityMap DensityMapFromBlockCounts(const PartitionContext& ctx) {
+DensityMap DensityMapFromBlocks(const PartitionContext& ctx) {
   DensityMap map(ctx.rows, ctx.cols, ctx.b);
-  for (std::uint64_t z = 0; z < ctx.block_counts.size(); ++z) {
-    const index_t count = ctx.block_counts[z];
-    if (count < 0) continue;
-    index_t br, bc;
-    MortonDecode(z, &br, &bc);
-    if (br >= map.grid_rows() || bc >= map.grid_cols()) continue;
-    const double area = static_cast<double>(map.BlockArea(br, bc));
-    map.Set(br, bc, area > 0 ? static_cast<double>(count) / area : 0.0);
-  }
-  return map;
-}
-
-// Single-tile representation for TilingMode::kNone.
-ATMatrix BuildUnpartitioned(CooMatrix coo, const AtmConfig& config,
-                            PartitionStats* stats) {
-  const index_t b = config.AtomicBlockSize();
-  WallTimer timer;
-  DensityMap map = DensityMap::FromCoo(coo, b);
-  std::vector<Tile> tiles;
-  if (coo.rows() > 0 && coo.cols() > 0) {
-    const bool dense_class =
-        config.mixed_tiles && coo.Density() >= config.rho_read;
-    if (dense_class) {
-      tiles.push_back(Tile::MakeDense(0, 0, CooToDense(coo)));
-    } else {
-      tiles.push_back(Tile::MakeSparse(0, 0, CooToCsr(coo)));
+  for (index_t br = 0; br < map.grid_rows(); ++br) {
+    for (index_t bc = 0; bc < map.grid_cols(); ++bc) {
+      const std::uint64_t z = MortonEncode(br, bc);
+      const index_t count = ctx.block_start[z + 1] - ctx.block_start[z];
+      const double area = static_cast<double>(map.BlockArea(br, bc));
+      map.Set(br, bc, area > 0 ? static_cast<double>(count) / area : 0.0);
     }
   }
-  if (stats != nullptr) {
-    stats->materialize_seconds = timer.ElapsedSeconds();
-    stats->dense_tiles = !tiles.empty() && tiles[0].is_dense() ? 1 : 0;
-    stats->sparse_tiles = static_cast<index_t>(tiles.size()) -
-                          stats->dense_tiles;
-  }
-  ATMatrix atm(coo.rows(), coo.cols(), b, std::move(tiles), std::move(map));
-  return atm;
+  return map;
 }
 
 void AssignHomeNodes(ATMatrix* atm, int num_nodes) {
@@ -305,12 +236,6 @@ ATMatrix PartitionToAtm(CooMatrix coo, const AtmConfig& config,
                                config.AtomicBlockSize()));
   }
 
-  if (config.tiling == TilingMode::kNone) {
-    ATMatrix atm = BuildUnpartitioned(std::move(coo), config, stats);
-    AssignHomeNodes(&atm, config.num_sockets);
-    return atm;
-  }
-
   PartitionContext ctx;
   ctx.b = config.AtomicBlockSize();
   ctx.log2_b = FloorLog2(ctx.b);
@@ -322,68 +247,67 @@ ATMatrix PartitionToAtm(CooMatrix coo, const AtmConfig& config,
   TileSizePolicy policy(config);
   ctx.policy = &policy;
 
-  // --- 1. Locality-aware element reordering (Z-curve sort). -------------
+  // --- 1. ZBlockCnts: per-atomic-block counts in Z-order, then an
+  // inclusive prefix sum, so block_start[z] is the end of block z. --------
   WallTimer timer;
-  std::vector<std::uint64_t> zcodes(coo.nnz());
-  {
-    ATMX_TRACE_SPAN("op", "partition_zsort");
-    const auto& entries = coo.entries();
-    for (index_t e = 0; e < coo.nnz(); ++e) {
-      zcodes[e] = MortonEncode(entries[e].row, entries[e].col);
-    }
-    std::vector<index_t> perm = SortedPermutation(zcodes);
-    std::vector<CooEntry> sorted_entries(coo.nnz());
-    std::vector<std::uint64_t> sorted_codes(coo.nnz());
-    for (index_t e = 0; e < coo.nnz(); ++e) {
-      sorted_entries[e] = entries[perm[e]];
-      sorted_codes[e] = zcodes[perm[e]];
-    }
-    coo.entries() = std::move(sorted_entries);
-    zcodes = std::move(sorted_codes);
-  }
-  stats->sort_seconds = timer.ElapsedSeconds();
-  ctx.coo = &coo;
-  ctx.zcodes = &zcodes;
-
-  // --- 2. ZBlockCnts: per-atomic-block counts in Z-order. ---------------
-  timer.Restart();
   {
     ATMX_TRACE_SPAN("op", "partition_blockcounts");
     const index_t z_side = ZSpaceSide(ctx.rows, ctx.cols);
     const index_t grid_side = std::max<index_t>(1, z_side / ctx.b);
-    ctx.block_counts.assign(
-        static_cast<std::size_t>(grid_side) * grid_side, 0);
-    // Mark padding blocks entirely outside the matrix bounds.
-    for (std::uint64_t z = 0; z < ctx.block_counts.size(); ++z) {
-      index_t br, bc;
-      MortonDecode(z, &br, &bc);
-      if (br * ctx.b >= ctx.rows || bc * ctx.b >= ctx.cols) {
-        ctx.block_counts[z] = -1;
-      }
-    }
-    for (const CooEntry& e : coo.entries()) {
-      const std::uint64_t z = MortonEncode(e.row / ctx.b, e.col / ctx.b);
-      ATMX_DCHECK(ctx.block_counts[z] >= 0);
-      ctx.block_counts[z]++;
-    }
+    ctx.block_start.assign(static_cast<std::size_t>(grid_side) * grid_side + 1,
+                           0);
+    for (const CooEntry& e : coo.entries()) ctx.block_start[BlockZ(ctx, e)]++;
+    std::partial_sum(ctx.block_start.begin(), ctx.block_start.end(),
+                     ctx.block_start.begin());
   }
   stats->blockcount_seconds = timer.ElapsedSeconds();
 
-  // --- 3. Recursive partitioning + materialization (Alg. 1). ------------
+  // --- 2. Locality-aware reordering: a stable scatter into atomic-block
+  // Z-order. Walking the entries backwards and filling each block from its
+  // end keeps input order inside a block and leaves block_start[z] at the
+  // block's first entry. ---------------------------------------------------
+  timer.Restart();
+  {
+    ATMX_TRACE_SPAN("op", "partition_zsort");
+    const std::vector<CooEntry>& entries = coo.entries();
+    std::vector<CooEntry> ordered(entries.size());
+    for (std::size_t e = entries.size(); e-- > 0;) {
+      ordered[--ctx.block_start[BlockZ(ctx, entries[e])]] = entries[e];
+    }
+    coo.entries() = std::move(ordered);
+  }
+  stats->sort_seconds = timer.ElapsedSeconds();
+  ctx.entries = coo.entries();
+
+  // --- 3. Recursive partitioning + materialization (Alg. 1). kNone
+  // materializes the root region, classed by the overall density. ---------
   timer.Restart();
   {
     ATMX_TRACE_SPAN("op", "partition_recurse");
-    NodeResult root = RecQtPart(&ctx, 0, ctx.block_counts.size());
-    if (root.status == NodeStatus::kForward) {
-      MaterializeRegion(&ctx, 0, ctx.block_counts.size(), root.nnz,
-                        root.dense_class);
+    const std::uint64_t root_end = ctx.block_start.size() - 1;
+    if (config.tiling == TilingMode::kNone) {
+      MaterializeRegion(&ctx, 0, root_end,
+                        ctx.allow_dense && coo.Density() >= ctx.rho_read);
+    } else {
+      const NodeResult root = RecQtPart(&ctx, 0, root_end);
+      if (root.status == NodeStatus::kForward) {
+        MaterializeRegion(&ctx, 0, root_end, root.dense_class);
+      }
     }
   }
   stats->materialize_seconds = ctx.materialize_timer.TotalSeconds();
   stats->recursion_seconds =
       timer.ElapsedSeconds() - stats->materialize_seconds;
 
-  DensityMap map = DensityMapFromBlockCounts(ctx);
+  // A tile holding fewer non-zeros than its slice has entries reveals a
+  // repeated coordinate. Repeats sum, as in the MatrixMarket reader: the
+  // result is the partitioning of the coalesced table.
+  if (ctx.repeats) {
+    coo.CoalesceDuplicates();
+    return PartitionToAtm(std::move(coo), config, stats);
+  }
+
+  DensityMap map = DensityMapFromBlocks(ctx);
   for (const Tile& t : ctx.tiles) {
     if (t.is_dense()) {
       stats->dense_tiles++;

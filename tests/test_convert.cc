@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tests/test_util.h"
 
 namespace atmx {
@@ -10,6 +12,22 @@ namespace {
 using atmx::testing::ExpectDenseNear;
 using atmx::testing::RandomCoo;
 
+// A 3 x 8 window at (kRow0, kCol0) of a larger table: its row 1 arrives
+// out of column order and repeats column 4.
+constexpr index_t kRow0 = 10;
+constexpr index_t kCol0 = 20;
+const std::vector<CooEntry> kWindow = {{11, 27, 1.0}, {11, 24, 2.0},
+                                       {10, 21, 3.0}, {11, 24, 4.0},
+                                       {12, 20, 5.0}, {11, 22, 6.0}};
+
+CooMatrix RebasedWindow() {
+  CooMatrix rebased(3, 8);
+  for (const CooEntry& e : kWindow) {
+    rebased.Add(e.row - kRow0, e.col - kCol0, e.value);
+  }
+  return rebased;
+}
+
 TEST(ConvertTest, CooToCsrSumsDuplicates) {
   CooMatrix coo(2, 2);
   coo.Add(0, 1, 1.0);
@@ -17,6 +35,17 @@ TEST(ConvertTest, CooToCsrSumsDuplicates) {
   CsrMatrix csr = CooToCsr(coo);
   EXPECT_EQ(csr.nnz(), 1);
   EXPECT_DOUBLE_EQ(csr.At(0, 1), 3.0);
+
+  const CsrMatrix window = CooWindowToCsr(kWindow, kRow0, kCol0, 3, 8);
+  const CsrMatrix rebased = CooToCsr(RebasedWindow());
+  EXPECT_TRUE(window.CheckValid());
+  EXPECT_EQ(window.nnz(), 5);
+  EXPECT_DOUBLE_EQ(window.At(1, 4), 6.0);
+  EXPECT_EQ(window.rows(), rebased.rows());
+  EXPECT_EQ(window.cols(), rebased.cols());
+  EXPECT_EQ(window.row_ptr(), rebased.row_ptr());
+  EXPECT_EQ(window.col_idx(), rebased.col_idx());
+  EXPECT_EQ(window.values(), rebased.values());
 }
 
 TEST(ConvertTest, RoundTripCooCsrDense) {
@@ -29,6 +58,12 @@ TEST(ConvertTest, RoundTripCooCsrDense) {
   CsrMatrix back = DenseToCsr(dense_direct);
   EXPECT_EQ(back.nnz(), csr.nnz());
   ExpectDenseNear(dense_direct, CsrToDense(back));
+
+  const DenseMatrix window = CooWindowToDense(kWindow, kRow0, kCol0, 3, 8);
+  ExpectDenseNear(CooToDense(RebasedWindow()), window, 0.0);
+  ExpectDenseNear(window,
+                  CsrToDense(CooWindowToCsr(kWindow, kRow0, kCol0, 3, 8)),
+                  0.0);
 }
 
 TEST(ConvertTest, CsrWindowToDense) {

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "morton/morton.h"
-#include "tests/test_util.h"
-
 namespace atmx {
 namespace {
 
@@ -18,16 +15,6 @@ TEST(CooMatrixTest, BasicAccounting) {
   EXPECT_EQ(coo.nnz(), 2);
   EXPECT_DOUBLE_EQ(coo.Density(), 2.0 / 20.0);
   EXPECT_EQ(coo.TripleBytes(), 32u);
-}
-
-TEST(CooMatrixTest, SortByMortonOrdersZValues) {
-  CooMatrix coo = atmx::testing::RandomCoo(64, 64, 300, 11);
-  coo.SortByMorton();
-  EXPECT_TRUE(coo.IsMortonSorted());
-  for (std::size_t i = 1; i < coo.entries().size(); ++i) {
-    EXPECT_LE(MortonEncode(coo.entries()[i - 1].row, coo.entries()[i - 1].col),
-              MortonEncode(coo.entries()[i].row, coo.entries()[i].col));
-  }
 }
 
 TEST(CooMatrixTest, SortRowMajor) {
@@ -62,7 +49,6 @@ TEST(CooMatrixTest, CoalesceSumsDuplicates) {
 
 TEST(CooMatrixTest, EmptyMatrixOperationsAreSafe) {
   CooMatrix coo(0, 0);
-  coo.SortByMorton();
   coo.CoalesceDuplicates();
   EXPECT_EQ(coo.nnz(), 0);
   EXPECT_DOUBLE_EQ(coo.Density(), 0.0);

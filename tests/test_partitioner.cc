@@ -1,15 +1,23 @@
 // Tests of the recursive quadtree partitioner (Alg. 1): structural
 // validity, content preservation, density-class materialization, melting
-// behaviour, tiling modes, and the hypersparse single-tile property.
+// behaviour, tiling modes, the hypersparse single-tile property, and a
+// bitwise pin of the output on the Table I workloads.
 
 #include "tile/partitioner.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <type_traits>
+#include <utility>
+
 #include "common/math_util.h"
 #include "gen/synthetic.h"
+#include "gen/workloads.h"
 #include "storage/convert.h"
 #include "tests/test_util.h"
+#include "validate/validate.h"
 
 namespace atmx {
 namespace {
@@ -214,6 +222,173 @@ TEST(PartitionerTest, TilesAreAlignedPowerOfTwoSquares) {
     }
     if (t.col_end() != atm.cols()) {
       EXPECT_TRUE(IsPowerOfTwo(t.cols() / 16)) << t.cols();
+    }
+  }
+}
+
+// 64-bit FNV-1a over everything a caller can observe of an AT MATRIX:
+// tile order, geometry, kind, nnz, home node, payload bits, bands and the
+// density map.
+class AtmHasher {
+ public:
+  void Add(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ = (hash_ ^ ((v >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+  void AddValue(value_t v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    Add(bits);
+  }
+  template <typename T>
+  void AddAll(const std::vector<T>& xs) {
+    Add(xs.size());
+    for (const T& x : xs) {
+      if constexpr (std::is_same_v<T, value_t>) {
+        AddValue(x);
+      } else {
+        Add(static_cast<std::uint64_t>(x));
+      }
+    }
+  }
+  std::uint64_t hash() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t HashAtm(const ATMatrix& atm) {
+  AtmHasher h;
+  h.Add(atm.rows());
+  h.Add(atm.cols());
+  h.Add(atm.tiles().size());
+  for (const Tile& t : atm.tiles()) {
+    for (index_t field : {t.row0(), t.col0(), t.rows(), t.cols(), t.nnz()}) {
+      h.Add(field);
+    }
+    h.Add(t.is_dense());
+    h.Add(t.home_node());
+    if (t.is_dense()) {
+      const DenseMatrix& d = t.dense();
+      for (index_t i = 0; i < d.rows(); ++i) {
+        for (index_t j = 0; j < d.cols(); ++j) h.AddValue(d.At(i, j));
+      }
+    } else {
+      h.AddAll(t.sparse().row_ptr());
+      h.AddAll(t.sparse().col_idx());
+      h.AddAll(t.sparse().values());
+    }
+  }
+  h.AddAll(atm.row_bounds());
+  h.AddAll(atm.col_bounds());
+  const DensityMap& map = atm.density_map();
+  h.Add(map.grid_rows());
+  h.Add(map.grid_cols());
+  h.AddAll(map.values());
+  return h.hash();
+}
+
+struct PinnedOutput {
+  const char* id;
+  std::uint64_t adaptive, fixed, none;
+};
+
+void PrintTo(const PinnedOutput& pin, std::ostream* os) { *os << pin.id; }
+
+class PartitionerPinTest : public ::testing::TestWithParam<PinnedOutput> {};
+
+// Table I workloads at scale 0.05 (seed 0) under the benches' 1 MiB LLC on
+// 2 sockets x 2 cores. The hashes pin the output bitwise: a partitioner
+// change that moves any of them changes what callers observe.
+TEST_P(PartitionerPinTest, TableI) {
+  const PinnedOutput& pin = GetParam();
+  const CooMatrix coo = MakeWorkloadMatrix(pin.id, 0.05, /*seed=*/0);
+  AtmConfig config;
+  config.llc_bytes = 1 << 20;
+  config.num_sockets = 2;
+  config.cores_per_socket = 2;
+  for (auto [mode, expected] :
+       {std::pair{TilingMode::kAdaptive, pin.adaptive},
+        std::pair{TilingMode::kFixed, pin.fixed},
+        std::pair{TilingMode::kNone, pin.none}}) {
+    config.tiling = mode;
+    const std::uint64_t hash = HashAtm(PartitionToAtm(coo, config));
+    EXPECT_EQ(hash, expected) << pin.id << " " << TilingModeName(mode)
+                              << ": computed 0x" << std::hex << hash;
+  }
+}
+
+constexpr PinnedOutput kPinnedTableI[] = {
+    {"R1", 0xfbb2073bfd91e177ULL, 0x9aa17740de27260eULL,
+     0x261debb481df2adaULL},
+    {"R2", 0xe272decf72be4db8ULL, 0x4506d8f1bb88e876ULL,
+     0x5608855f3ce0fe23ULL},
+    {"R3", 0xeaf7e2bbf0fb69c0ULL, 0xe42cc15174f0b467ULL,
+     0xc266cc8904278e99ULL},
+    {"R4", 0xcfb362dc202a8ebeULL, 0x6482e3b4f421d746ULL,
+     0x660c39f92c243011ULL},
+    {"R5", 0xd7628d587ed21214ULL, 0x7700b22d629e7d6dULL,
+     0x88fb0173d1a7e2ebULL},
+    {"R6", 0xceaeb66df7964580ULL, 0x83af099e0647da04ULL,
+     0x0e6ee33145d55eb8ULL},
+    {"R7", 0xb2bb4ce1ac197fedULL, 0x6d4fb16c02da173fULL,
+     0xb2bb4ce1ac197fedULL},
+    {"R8", 0x3a37dc8d3d41b422ULL, 0xe3e7993594ca12e1ULL,
+     0x79e73edc416a8529ULL},
+    {"R9", 0x800cdcab33e184b5ULL, 0xa12e26de6b67cc2eULL,
+     0x3b23bd80d5369679ULL},
+    {"G1", 0x1956b7790bd38ce9ULL, 0x8ec49748465507d4ULL,
+     0x1de519351befe3d7ULL},
+    {"G2", 0x9a08e13261b25809ULL, 0x5f35b7b1ec336d51ULL,
+     0x5c26e3563cc41191ULL},
+    {"G3", 0x94c5b9fe7f0c94acULL, 0x00770bcd29dbe13bULL,
+     0x0538b977db0c8532ULL},
+    {"G4", 0x8bc955f9610abbdeULL, 0x8a0f5fa23f9bd3d2ULL,
+     0x401afa4f1829ac06ULL},
+    {"G5", 0x6abd419d801273dfULL, 0x9cd1b35990683858ULL,
+     0x843f5033d1cbf568ULL},
+    {"G6", 0x8be7a8320a3121c7ULL, 0x96c88202ca7d8829ULL,
+     0xf3305ad6478f2fd5ULL},
+    {"G7", 0x4be41e291a423c6aULL, 0x03375f2ae2035ea5ULL,
+     0xee40e9d6504c67feULL},
+    {"G8", 0x7f55849adf62bd24ULL, 0x1176fa5396d024b3ULL,
+     0xcb7c10973df1e3e3ULL},
+    {"G9", 0x1b74ed634ef4da8dULL, 0x8165ba305a24c588ULL,
+     0x5964bb4c2d356af0ULL},
+};
+
+INSTANTIATE_TEST_SUITE_P(, PartitionerPinTest,
+                         ::testing::ValuesIn(kPinnedTableI),
+                         [](const auto& info) {
+                           return std::string(info.param.id);
+                         });
+
+TEST(PartitionerTest, RepeatedCoordinatesSum) {
+  // (3, 15) appears twice: repeats sum, as in the MatrixMarket reader, and
+  // the result is the partitioning of the coalesced table in every mode.
+  // The second table holds the repeat in a full block, a dense tile.
+  CooMatrix diagonal(64, 64);
+  for (index_t i = 0; i < 64; ++i) diagonal.Add(i, (5 * i) % 64, 1.0);
+  CooMatrix block(64, 64);
+  for (index_t i = 0; i < 16; ++i) {
+    for (index_t j = 0; j < 16; ++j) block.Add(i, j, 1.0);
+  }
+  for (CooMatrix coo : {diagonal, block}) {
+    coo.Add(3, 15, 2.0);
+    CooMatrix coalesced = coo;
+    coalesced.CoalesceDuplicates();
+    for (TilingMode mode :
+         {TilingMode::kAdaptive, TilingMode::kFixed, TilingMode::kNone}) {
+      AtmConfig config = SmallConfig(16);
+      config.tiling = mode;
+      const ATMatrix atm = PartitionToAtm(coo, config);
+      const Status valid = ValidateAtMatrix(atm);
+      EXPECT_TRUE(valid.ok()) << TilingModeName(mode) << ": "
+                              << valid.ToString();
+      EXPECT_EQ(atm.At(3, 15), 3.0) << TilingModeName(mode);
+      EXPECT_EQ(HashAtm(atm), HashAtm(PartitionToAtm(coalesced, config)))
+          << TilingModeName(mode);
     }
   }
 }
