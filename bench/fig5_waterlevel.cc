@@ -84,11 +84,16 @@ void Run() {
   for (double fraction : {1.0, 0.8, 0.6, 0.4, 0.25, 0.1, 0.02, -0.05}) {
     const auto limit = static_cast<std::size_t>(
         min_mem + fraction * static_cast<double>(dense_all - min_mem));
-    WaterLevelResult result = SolveWaterLevel(estimate, limit);
+    // The level alone: the floor rho_W = 0, raised only as the limit
+    // demands.
+    bool feasible = false;
+    const double threshold =
+        EffectiveWriteThreshold(estimate, 0.0, limit, &feasible);
     solution.AddRow({TablePrinter::FmtBytes(limit),
-                     TablePrinter::Fmt(result.threshold, 4),
-                     TablePrinter::FmtBytes(result.projected_bytes),
-                     result.feasible ? "yes" : "no (best effort)"});
+                     TablePrinter::Fmt(threshold, 4),
+                     TablePrinter::FmtBytes(
+                         EstimateMemoryBytes(estimate, threshold)),
+                     feasible ? "yes" : "no (best effort)"});
   }
   solution.Print();
   std::printf(

@@ -2,52 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
 namespace atmx {
 
 DensityMap EstimateProductDensity(const DensityMap& a, const DensityMap& b) {
-  ATMX_CHECK_EQ(a.cols(), b.rows());
-  ATMX_CHECK_EQ(a.block(), b.block());
-
   DensityMap c(a.rows(), b.cols(), a.block());
-  const index_t grid_k = a.grid_cols();
-  const index_t grid_j = b.grid_cols();
-
-  // Sparse iteration: only non-zero blocks of A and B contribute, so we
-  // pre-index the non-zero block columns of every B block-row. This keeps
-  // the estimator cheap even for hypersparse high-dimension matrices (its
-  // cost is the paper's concern in section IV-D).
-  std::vector<std::vector<index_t>> b_row_nonzero(grid_k);
-  for (index_t bk = 0; bk < grid_k; ++bk) {
-    for (index_t bj = 0; bj < grid_j; ++bj) {
-      if (b.At(bk, bj) > 0.0) b_row_nonzero[bk].push_back(bj);
-    }
-  }
-
-  // Accumulate log(1 - rho_C) row-block-wise.
-  std::vector<double> log_zero(grid_j);
-  for (index_t bi = 0; bi < c.grid_rows(); ++bi) {
-    std::fill(log_zero.begin(), log_zero.end(), 0.0);
-    for (index_t bk = 0; bk < grid_k; ++bk) {
-      const double rho_a = a.At(bi, bk);
-      if (rho_a <= 0.0) continue;
-      // w_K contraction columns in this block column, each an independent
-      // chance for a non-zero product.
-      const double w = static_cast<double>(a.BlockWidth(bk));
-      for (index_t bj : b_row_nonzero[bk]) {
-        const double p = rho_a * b.At(bk, bj);
-        log_zero[bj] += p >= 1.0
-                            ? -std::numeric_limits<double>::infinity()
-                            : w * std::log1p(-p);
-      }
-    }
-    for (index_t bj = 0; bj < grid_j; ++bj) {
-      // 1 - e^{log P(zero)}.
-      c.Set(bi, bj, std::clamp(-std::expm1(log_zero[bj]), 0.0, 1.0));
-    }
-  }
+  EstimateProductDensityRegion(a, b, 0, c.grid_rows(), 0, c.grid_cols(), &c);
   return c;
 }
 
@@ -62,25 +25,33 @@ void EstimateProductDensityRegion(const DensityMap& a, const DensityMap& b,
   ATMX_CHECK(bi0 >= 0 && bi1 <= out->grid_rows());
   ATMX_CHECK(bj0 >= 0 && bj1 <= out->grid_cols());
 
+  // Accumulate log(1 - rho_C) in place, one block row at a time, in
+  // ascending contraction block bk. Only non-zero blocks of A and B
+  // contribute, and B is read row-wise, which keeps the estimator cheap
+  // even for hypersparse high-dimension matrices (its cost is the paper's
+  // concern in section IV-D).
   const index_t grid_k = a.grid_cols();
   for (index_t bi = bi0; bi < bi1; ++bi) {
-    for (index_t bj = bj0; bj < bj1; ++bj) {
-      // Same term sequence as the full estimator: ascending bk, skipping
-      // zero blocks of A (outer guard there) and of B (the b_row_nonzero
-      // pre-index there) — the log-space accumulation order per block is
-      // identical, so the rounded result is too.
-      double log_zero = 0.0;
-      for (index_t bk = 0; bk < grid_k; ++bk) {
-        const double rho_a = a.At(bi, bk);
-        if (rho_a <= 0.0) continue;
+    for (index_t bj = bj0; bj < bj1; ++bj) out->Set(bi, bj, 0.0);
+    for (index_t bk = 0; bk < grid_k; ++bk) {
+      const double rho_a = a.At(bi, bk);
+      if (rho_a <= 0.0) continue;
+      // w_K contraction columns in this block column, each an independent
+      // chance for a non-zero product.
+      const double w = static_cast<double>(a.BlockWidth(bk));
+      for (index_t bj = bj0; bj < bj1; ++bj) {
         const double rho_b = b.At(bk, bj);
         if (rho_b <= 0.0) continue;
-        const double w = static_cast<double>(a.BlockWidth(bk));
         const double p = rho_a * rho_b;
-        log_zero += p >= 1.0 ? -std::numeric_limits<double>::infinity()
-                             : w * std::log1p(-p);
+        out->Set(bi, bj,
+                 out->At(bi, bj) +
+                     (p >= 1.0 ? -std::numeric_limits<double>::infinity()
+                               : w * std::log1p(-p)));
       }
-      out->Set(bi, bj, std::clamp(-std::expm1(log_zero), 0.0, 1.0));
+    }
+    for (index_t bj = bj0; bj < bj1; ++bj) {
+      // 1 - e^{log P(zero)}.
+      out->Set(bi, bj, std::clamp(-std::expm1(out->At(bi, bj)), 0.0, 1.0));
     }
   }
 }
@@ -100,10 +71,12 @@ DensityMap CombineAdditive(const DensityMap& x, const DensityMap& y) {
   return out;
 }
 
-std::size_t EstimateMemoryBytes(const DensityMap& map, double threshold) {
+std::size_t EstimateMemoryBytes(const DensityMap& map, double threshold,
+                                index_t bi0, index_t bi1, index_t bj0,
+                                index_t bj1) {
   double bytes = 0.0;
-  for (index_t bi = 0; bi < map.grid_rows(); ++bi) {
-    for (index_t bj = 0; bj < map.grid_cols(); ++bj) {
+  for (index_t bi = bi0; bi < bi1; ++bi) {
+    for (index_t bj = bj0; bj < bj1; ++bj) {
       const double area = static_cast<double>(map.BlockArea(bi, bj));
       const double rho = map.At(bi, bj);
       if (rho >= threshold) {
@@ -114,6 +87,11 @@ std::size_t EstimateMemoryBytes(const DensityMap& map, double threshold) {
     }
   }
   return static_cast<std::size_t>(bytes);
+}
+
+std::size_t EstimateMemoryBytes(const DensityMap& map, double threshold) {
+  return EstimateMemoryBytes(map, threshold, 0, map.grid_rows(), 0,
+                             map.grid_cols());
 }
 
 }  // namespace atmx

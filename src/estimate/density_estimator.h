@@ -22,16 +22,18 @@ namespace atmx {
 // and equal block sizes. Runtime is O(grid_rows(A) * grid_cols(B) *
 // grid_cols(A)) — independent of the number of non-zeros, which is why the
 // estimation cost only becomes visible for hypersparse very-high-dimension
-// matrices (paper, section IV-D).
+// matrices (paper, section IV-D). This is EstimateProductDensityRegion
+// over the whole grid.
 DensityMap EstimateProductDensity(const DensityMap& a, const DensityMap& b);
 
-// Computes only the block region [bi0, bi1) x [bj0, bj1) of
-// EstimateProductDensity(a, b), writing into `out` (which must have the
-// product's shape and block size). Every written block is bitwise
-// identical to the full estimator's value — same contraction terms in the
-// same ascending block-column order — which is what lets the fused chain
-// executor fill a product's estimate region-by-region as the producing
-// bands complete, without changing any downstream decision.
+// Computes the block region [bi0, bi1) x [bj0, bj1) of the estimate,
+// writing into `out` (which must have the product's shape and block size).
+// The only estimator loop: every block sums the same contraction terms in
+// the same ascending block-column order whatever region it is computed in,
+// so a region's values are bitwise those of the whole-grid estimate. That
+// is what lets the fused chain executor fill a product's estimate
+// region-by-region as the producing bands complete, without changing any
+// downstream decision.
 void EstimateProductDensityRegion(const DensityMap& a, const DensityMap& b,
                                   index_t bi0, index_t bi1, index_t bj0,
                                   index_t bj1, DensityMap* out);
@@ -42,9 +44,14 @@ void EstimateProductDensityRegion(const DensityMap& a, const DensityMap& b,
 // share shape and block size.
 DensityMap CombineAdditive(const DensityMap& x, const DensityMap& y);
 
-// Expected memory footprint in bytes of a matrix with the given density
-// map when each block is stored dense (8 B/element) if its density >=
-// threshold and sparse CSR (16 B/element) otherwise.
+// Expected memory footprint in bytes of the blocks [bi0, bi1) x [bj0, bj1)
+// of a matrix with the given density map when each block is stored dense
+// (8 B/element) if its density >= threshold and sparse CSR (16 B/element)
+// otherwise, summed row by row.
+std::size_t EstimateMemoryBytes(const DensityMap& map, double threshold,
+                                index_t bi0, index_t bi1, index_t bj0,
+                                index_t bj1);
+// The same over the whole map.
 std::size_t EstimateMemoryBytes(const DensityMap& map, double threshold);
 
 }  // namespace atmx

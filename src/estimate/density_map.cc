@@ -16,20 +16,17 @@ DensityMap::DensityMap(index_t rows, index_t cols, index_t block)
   density_.assign(static_cast<std::size_t>(grid_rows_) * grid_cols_, 0.0);
 }
 
-namespace {
-
-// Converts per-block counts (stored in map.values() layout) into densities.
-void NormalizeCounts(std::vector<double>& counts, DensityMap* map) {
-  for (index_t bi = 0; bi < map->grid_rows(); ++bi) {
-    for (index_t bj = 0; bj < map->grid_cols(); ++bj) {
-      const double area = static_cast<double>(map->BlockArea(bi, bj));
-      const double count = counts[bi * map->grid_cols() + bj];
-      map->Set(bi, bj, area > 0 ? count / area : 0.0);
+void DensityMap::SetFromCounts(const std::vector<double>& counts,
+                               index_t bi0, index_t bi1, index_t bj0,
+                               index_t bj1) {
+  for (index_t bi = bi0; bi < bi1; ++bi) {
+    for (index_t bj = bj0; bj < bj1; ++bj) {
+      const double area = static_cast<double>(BlockArea(bi, bj));
+      const double count = counts[bi * grid_cols_ + bj];
+      Set(bi, bj, area > 0 ? count / area : 0.0);
     }
   }
 }
-
-}  // namespace
 
 DensityMap DensityMap::FromCoo(const CooMatrix& coo, index_t block) {
   DensityMap map(coo.rows(), coo.cols(), block);
@@ -37,7 +34,7 @@ DensityMap DensityMap::FromCoo(const CooMatrix& coo, index_t block) {
   for (const CooEntry& e : coo.entries()) {
     counts[(e.row / block) * map.grid_cols_ + (e.col / block)] += 1.0;
   }
-  NormalizeCounts(counts, &map);
+  map.SetFromCounts(counts, 0, map.grid_rows_, 0, map.grid_cols_);
   return map;
 }
 
@@ -50,7 +47,7 @@ DensityMap DensityMap::FromCsr(const CsrMatrix& csr, index_t block) {
       counts[bi * map.grid_cols_ + (c / block)] += 1.0;
     }
   }
-  NormalizeCounts(counts, &map);
+  map.SetFromCounts(counts, 0, map.grid_rows_, 0, map.grid_cols_);
   return map;
 }
 
@@ -65,7 +62,7 @@ DensityMap DensityMap::FromDense(const DenseMatrix& dense, index_t block) {
       }
     }
   }
-  NormalizeCounts(counts, &map);
+  map.SetFromCounts(counts, 0, map.grid_rows_, 0, map.grid_cols_);
   return map;
 }
 

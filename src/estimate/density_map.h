@@ -52,6 +52,11 @@ class DensityMap {
     density_[bi * grid_cols_ + bj] = d;
   }
 
+  // Sets blocks [bi0, bi1) x [bj0, bj1) to count / area from per-block
+  // non-zero counts laid out like values().
+  void SetFromCounts(const std::vector<double>& counts, index_t bi0,
+                     index_t bi1, index_t bj0, index_t bj1);
+
   // Mean density of the aligned block square [bi0, bi0+span) x
   // [bj0, bj0+span) weighted by clipped block areas. Used to decide the
   // representation of melted tiles.

@@ -1,6 +1,8 @@
 #include "estimate/water_level.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
 #include <vector>
 
 #include "estimate/density_estimator.h"
@@ -8,94 +10,23 @@
 
 namespace atmx {
 
-WaterLevelResult SolveWaterLevel(const DensityMap& estimate,
-                                 std::size_t mem_limit_bytes) {
-  struct Bar {
-    double density;
-    double area;
-  };
-  std::vector<Bar> bars;
-  bars.reserve(estimate.grid_rows() * estimate.grid_cols());
-  double sparse_total = 0.0;  // all-sparse memory
-  for (index_t bi = 0; bi < estimate.grid_rows(); ++bi) {
-    for (index_t bj = 0; bj < estimate.grid_cols(); ++bj) {
-      const double area = static_cast<double>(estimate.BlockArea(bi, bj));
-      const double rho = estimate.At(bi, bj);
-      bars.push_back({rho, area});
-      sparse_total += rho * area * kSparseElemBytes;
-    }
-  }
-  // Lower the level from the top: bars surface in descending density order.
-  std::sort(bars.begin(), bars.end(),
-            [](const Bar& a, const Bar& b) { return a.density > b.density; });
-
-  WaterLevelResult result;
-  result.threshold = 1.0 + 1e-12;  // above all bars: everything sparse
-  result.projected_bytes = static_cast<std::size_t>(sparse_total);
-  result.feasible = sparse_total <= static_cast<double>(mem_limit_bytes);
-
-  // If no level meets the limit, fall back to the level of minimum
-  // memory (dense exactly where rho >= 0.5): the SLA is missed either
-  // way, so miss it by as little as possible.
-  double min_memory = sparse_total;
-  double min_threshold = result.threshold;
-
-  double memory = sparse_total;
-  for (std::size_t i = 0; i < bars.size(); ++i) {
-    // Surface bar i: its block flips from sparse to dense.
-    memory += bars[i].area * (kDenseElemBytes -
-                              bars[i].density * kSparseElemBytes);
-    // Blocks of equal density flip together (the threshold comparison is
-    // `>=`), so only commit the level once the density strictly drops.
-    if (i + 1 < bars.size() && bars[i + 1].density == bars[i].density) {
-      continue;
-    }
-    if (memory < min_memory) {
-      min_memory = memory;
-      min_threshold = bars[i].density;
-    }
-    if (memory <= static_cast<double>(mem_limit_bytes)) {
-      result.threshold = bars[i].density;
-      result.projected_bytes = static_cast<std::size_t>(memory);
-      result.feasible = true;
-    } else if (bars[i].density < 0.5) {
-      // Every further bar has rho < 0.5, for which the dense flip strictly
-      // adds memory — lowering the level cannot help anymore.
-      break;
-    }
-  }
-  if (!result.feasible) {
-    result.threshold = min_threshold;
-    ATMX_COUNTER_INC("waterlevel.infeasible");
-  }
-  // Re-derive the projection from the committed threshold instead of
-  // keeping the incrementally updated running sum: the incremental updates
-  // accumulate in surfacing order and can drift from the per-block sum by
-  // rounding, so ATMULT's predicted_bytes gauge (which calls
-  // EstimateMemoryBytes at this threshold) would disagree with
-  // projected_bytes for the same plan. One formula, one answer.
-  result.projected_bytes = EstimateMemoryBytes(estimate, result.threshold);
-  return result;
-}
-
-double EffectiveWriteThreshold(const DensityMap& estimate, double rho_write,
-                               std::size_t mem_limit_bytes) {
-  return EffectiveWriteThreshold(estimate, rho_write, mem_limit_bytes,
-                                 nullptr);
-}
-
 double EffectiveWriteThreshold(const DensityMap& estimate, double rho_write,
                                std::size_t mem_limit_bytes, bool* feasible) {
   if (feasible != nullptr) *feasible = true;
   // Fast path: unlimited memory keeps the performance-optimal threshold.
-  const std::size_t optimistic = EstimateMemoryBytes(estimate, rho_write);
-  if (optimistic <= mem_limit_bytes) return rho_write;
-  const WaterLevelResult wl = SolveWaterLevel(estimate, mem_limit_bytes);
+  if (EstimateMemoryBytes(estimate, rho_write) <= mem_limit_bytes) {
+    return rho_write;
+  }
+  const ChainWaterLevelResult wl =
+      SolveChainWaterLevel({&estimate}, {-1}, rho_write, mem_limit_bytes);
   if (feasible != nullptr) *feasible = wl.feasible;
-  return std::max(rho_write, wl.threshold);
+  return wl.thresholds[0];
 }
 
 namespace {
+
+// The level above every block density: everything stored sparse.
+constexpr double kAboveAllBars = 1.0 + 1e-12;
 
 // Per-product density histogram with the bars sorted descending and prefix
 // sums, so the projected bytes at a threshold resolve in O(log bars). The
@@ -137,15 +68,28 @@ struct ProductBars {
     }
   }
 
-  // Projected bytes with blocks of density >= t stored dense.
-  double BytesAt(double t) const {
-    // First bar strictly below the level; all bars before it are dense.
+  // Number of bars at or above level t: the blocks stored dense.
+  std::size_t DenseCount(double t) const {
     const auto it = std::lower_bound(
         density.begin(), density.end(), t,
         [](double bar, double level) { return bar >= level; });
-    const std::size_t k = static_cast<std::size_t>(it - density.begin());
+    return static_cast<std::size_t>(it - density.begin());
+  }
+
+  // Projected bytes with blocks of density >= t stored dense.
+  double BytesAt(double t) const {
+    const std::size_t k = DenseCount(t);
     return dense_area[k] * kDenseElemBytes +
            (sparse_bytes.back() - sparse_bytes[k]);
+  }
+
+  // The memory-minimal level: dense exactly where rho >= 0.5, since a
+  // dense block (8 B/elem) is no larger than a sparse one (16 B/elem * rho)
+  // there and strictly larger below. "Above all bars" when no block
+  // reaches 0.5.
+  double MemoryMinimalLevel() const {
+    const std::size_t k = DenseCount(0.5);
+    return k == 0 ? kAboveAllBars : density[k - 1];
   }
 };
 
@@ -179,36 +123,38 @@ ChainWaterLevelResult SolveChainWaterLevel(
   // Candidate levels: the performance-optimal floor, every distinct block
   // density above it (the threshold comparison is `>=`, so only block
   // densities change the projection), and "above all bars" (everything
-  // sparse). Ascending, so a scan commits the lowest workable level.
-  std::vector<double> candidates;
-  candidates.push_back(rho_write);
+  // sparse). Ascending, so a scan commits the lowest workable level. Each
+  // product's bars are already sorted, so the levels merge in.
+  std::vector<double> candidates{rho_write};
   for (const ProductBars& pb : bars) {
-    for (double d : pb.density) {
-      if (d > rho_write) candidates.push_back(d);
-    }
+    const auto merged = static_cast<std::ptrdiff_t>(candidates.size());
+    std::copy_if(pb.density.rbegin(), pb.density.rend(),
+                 std::back_inserter(candidates),
+                 [rho_write](double d) { return d > rho_write; });
+    std::inplace_merge(candidates.begin(), candidates.begin() + merged,
+                       candidates.end());
   }
-  candidates.push_back(1.0 + 1e-12);
-  std::sort(candidates.begin(), candidates.end());
+  candidates.push_back(kAboveAllBars);
+  std::inplace_merge(candidates.begin(), candidates.end() - 1,
+                     candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
-  const std::size_t num_candidates = candidates.size();
 
-  // bytes[i][c]: projected bytes of product i at candidate level c.
-  std::vector<std::vector<double>> bytes(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    bytes[i].reserve(num_candidates);
-    for (std::size_t c = 0; c < num_candidates; ++c) {
-      bytes[i].push_back(bars[i].BytesAt(candidates[c]));
-    }
-  }
-
-  // Peak over steps of the resident-set footprint for a level assignment.
-  const auto peak_of = [&](const std::vector<std::size_t>& lvl, int* step) {
+  // lvl[i] indexes product i's level in `candidates`; bytes[i] is its
+  // projected footprint there, priced only when a scan reaches the level.
+  std::vector<std::size_t> lvl(n, 0);
+  std::vector<double> bytes(n);
+  const auto set_level = [&](std::size_t i, std::size_t c) {
+    lvl[i] = c;
+    bytes[i] = bars[i].BytesAt(candidates[c]);
+  };
+  // Peak over steps of the resident-set footprint at the current levels.
+  const auto peak_of = [&](int* step) {
     double peak = 0.0;
     int peak_step = 0;
     for (std::size_t p = 0; p < n; ++p) {
       double sum = 0.0;
-      for (std::size_t i : live[p]) sum += bytes[i][lvl[i]];
+      for (std::size_t i : live[p]) sum += bytes[i];
       if (sum > peak) {
         peak = sum;
         peak_step = static_cast<int>(p);
@@ -220,8 +166,8 @@ ChainWaterLevelResult SolveChainWaterLevel(
   const double budget = static_cast<double>(budget_bytes);
 
   // Fast path: the performance-optimal level everywhere already fits.
-  std::vector<std::size_t> lvl(n, 0);
-  double peak = peak_of(lvl, &result.peak_step);
+  for (std::size_t i = 0; i < n; ++i) set_level(i, 0);
+  double peak = peak_of(&result.peak_step);
   if (peak <= budget) {
     result.projected_peak_bytes = static_cast<std::size_t>(peak);
     return result;
@@ -229,15 +175,18 @@ ChainWaterLevelResult SolveChainWaterLevel(
 
   // The peak is separable: each product's bytes enter every step it is
   // live in with positive sign, so the minimum-achievable peak is reached
-  // with every product at its own memory-minimal level. If even that
-  // misses the budget no assignment can fit — clamp to the floor and
-  // report infeasible.
+  // with every product at its own memory-minimal level (never below the
+  // floor). If even that misses the budget no assignment can fit — clamp
+  // to those levels and report infeasible.
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 1; c < num_candidates; ++c) {
-      if (bytes[i][c] < bytes[i][lvl[i]]) lvl[i] = c;
-    }
+    const double minimal =
+        std::max(rho_write, bars[i].MemoryMinimalLevel());
+    set_level(i, static_cast<std::size_t>(
+                     std::lower_bound(candidates.begin(), candidates.end(),
+                                      minimal) -
+                     candidates.begin()));
   }
-  peak = peak_of(lvl, &result.peak_step);
+  peak = peak_of(&result.peak_step);
   if (peak > budget) {
     result.feasible = false;
     ATMX_COUNTER_INC("waterlevel.infeasible");
@@ -248,12 +197,13 @@ ChainWaterLevelResult SolveChainWaterLevel(
     // qualifies (the budget held entering each step), so the scan
     // terminates with a valid assignment.
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t c = 0; c < num_candidates; ++c) {
-        lvl[i] = c;
-        if (peak_of(lvl, nullptr) <= budget) break;
+      const std::size_t minimal = lvl[i];
+      for (std::size_t c = 0; c <= minimal; ++c) {
+        set_level(i, c);
+        if (peak_of(nullptr) <= budget) break;
       }
     }
-    peak = peak_of(lvl, &result.peak_step);
+    peak = peak_of(&result.peak_step);
   }
 
   for (std::size_t i = 0; i < n; ++i) {

@@ -17,25 +17,13 @@
 
 namespace atmx {
 
-struct WaterLevelResult {
-  // The lowest threshold whose projected memory consumption does not exceed
-  // the limit. 1.0 + epsilon ("above all bars") when even an all-sparse
-  // layout fits only without any dense block; see `feasible`.
-  double threshold = 0.0;
-  // Projected bytes at `threshold`.
-  std::size_t projected_bytes = 0;
-  // False if not even the all-sparse layout fits into the limit; callers
-  // then proceed all-sparse and accept the SLA miss (nothing denser could
-  // help: for rho < 0.5 sparse blocks are the smaller representation).
-  bool feasible = true;
-};
-
-WaterLevelResult SolveWaterLevel(const DensityMap& estimate,
-                                 std::size_t mem_limit_bytes);
-
 // Effective write threshold for the ATMULT operator: the performance-optimal
 // rho0_W, raised if necessary so the projected result memory meets the
-// limit.
+// limit. Returns rho0_W when EstimateMemoryBytes at rho0_W fits; otherwise
+// the one-product SolveChainWaterLevel solve, so a single product and a
+// chain share one solver. `*feasible` (when non-null) is set to false when
+// even the memory-minimal layout misses the limit and the returned
+// threshold is the clamped floor.
 //
 // Note: Alg. 2 line 3 of the paper prints `min`; complying with the memory
 // SLA requires *raising* the threshold above rho0_W when the limit binds
@@ -43,13 +31,8 @@ WaterLevelResult SolveWaterLevel(const DensityMap& estimate,
 // max semantics the surrounding text describes ("sacrifice performance in
 // favor of a lower memory consumption").
 double EffectiveWriteThreshold(const DensityMap& estimate, double rho_write,
-                               std::size_t mem_limit_bytes);
-
-// Same, with an infeasibility report: `*feasible` (when non-null) is set to
-// false when even the memory-minimal layout misses the limit and the
-// returned threshold is the clamped floor.
-double EffectiveWriteThreshold(const DensityMap& estimate, double rho_write,
-                               std::size_t mem_limit_bytes, bool* feasible);
+                               std::size_t mem_limit_bytes,
+                               bool* feasible = nullptr);
 
 // Chain-scope water level: one shared memory budget for a whole product
 // chain instead of a per-product limit. Product i (post-order id) is
@@ -61,16 +44,18 @@ double EffectiveWriteThreshold(const DensityMap& estimate, double rho_write,
 struct ChainWaterLevelResult {
   // Per-product write thresholds, indexed by post-order product id. Never
   // below rho_write: the performance-optimal level is only ever raised to
-  // meet the budget (the max semantics of EffectiveWriteThreshold).
+  // meet the budget (the max semantics noted at EffectiveWriteThreshold).
   std::vector<double> thresholds;
   // Projected resident-set peak at the committed thresholds, and the
   // production step where it occurs.
   std::size_t projected_peak_bytes = 0;
   int peak_step = 0;
   // False when no assignment of thresholds keeps the peak within the
-  // budget; thresholds are then clamped to the memory-minimal level and
-  // the `waterlevel.infeasible` counter is bumped. Callers decide whether
-  // to accept the SLA miss or fall back to unfused execution.
+  // budget; thresholds are then clamped to the memory-minimal level (the
+  // lowest block density >= 0.5, "above all bars" when there is none,
+  // never below rho_write) and the `waterlevel.infeasible` counter is
+  // bumped. Callers decide whether to accept the SLA miss or fall back to
+  // unfused execution.
   bool feasible = true;
 };
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -364,13 +365,25 @@ std::string RenderReprRecordsJson(const std::deque<ReprAuditRecord>& records) {
 
 namespace {
 
-index_t IndexField(const JsonValue& v, std::string_view key) {
-  return static_cast<index_t>(v.NumberOr(key, 0.0));
+// An integer field of a ledger, which is outside input: a value T cannot
+// hold (or a non-finite one) would make the cast undefined, so it is
+// rejected naming the field. `*bad` keeps the first rejection.
+template <typename T>
+T IntField(const JsonValue& v, std::string_view key, Status* bad) {
+  const double x = v.NumberOr(key, 0.0);
+  if (x >= static_cast<double>(std::numeric_limits<T>::min()) &&
+      x < std::ldexp(1.0, std::numeric_limits<T>::digits)) {
+    return static_cast<T>(x);
+  }
+  if (bad->ok()) {
+    *bad = Status::InvalidArgument("audit: field \"" + std::string(key) +
+                                   "\" is out of range");
+  }
+  return T{};
 }
 
-std::uint64_t U64Field(const JsonValue& v, std::string_view key) {
-  return static_cast<std::uint64_t>(v.NumberOr(key, 0.0));
-}
+constexpr auto IndexField = IntField<index_t>;
+constexpr auto U64Field = IntField<std::uint64_t>;
 
 }  // namespace
 
@@ -384,7 +397,9 @@ Result<AuditLedgerDoc> ParseAuditLedgerJson(std::string_view text) {
   if (root.StringOr("kind", "") != "atmx_audit_ledger") {
     return Status::InvalidArgument("audit: not an atmx_audit_ledger document");
   }
-  const int version = static_cast<int>(root.NumberOr("schema_version", 0.0));
+  Status bad;
+  const int version = IntField<int>(root, "schema_version", &bad);
+  if (!bad.ok()) return bad;
   if (version != kAuditLedgerSchemaVersion) {
     return Status::InvalidArgument(
         "audit: unsupported schema_version " + std::to_string(version));
@@ -392,8 +407,8 @@ Result<AuditLedgerDoc> ParseAuditLedgerJson(std::string_view text) {
   AuditLedgerDoc doc;
   doc.schema_version = version;
   doc.git_sha = root.StringOr("git_sha", "unknown");
-  doc.unix_time = static_cast<std::int64_t>(root.NumberOr("unix_time", 0.0));
-  doc.dropped = U64Field(root, "dropped");
+  doc.unix_time = IntField<std::int64_t>(root, "unix_time", &bad);
+  doc.dropped = U64Field(root, "dropped", &bad);
   if (const JsonValue* p = root.Find("cost_params");
       p != nullptr && p->is_object()) {
     CostParams defaults;
@@ -423,9 +438,9 @@ Result<AuditLedgerDoc> ParseAuditLedgerJson(std::string_view text) {
       arr != nullptr && arr->is_array()) {
     for (const JsonValue& v : arr->array) {
       DensityAuditRecord r;
-      r.op = U64Field(v, "op");
-      r.bi = IndexField(v, "bi");
-      r.bj = IndexField(v, "bj");
+      r.op = U64Field(v, "op", &bad);
+      r.bi = IndexField(v, "bi", &bad);
+      r.bj = IndexField(v, "bj", &bad);
       r.predicted = v.NumberOr("pred", 0.0);
       r.actual = v.NumberOr("actual", 0.0);
       doc.density.push_back(r);
@@ -435,13 +450,13 @@ Result<AuditLedgerDoc> ParseAuditLedgerJson(std::string_view text) {
       arr != nullptr && arr->is_array()) {
     for (const JsonValue& v : arr->array) {
       CostAuditRecord r;
-      r.op = U64Field(v, "op");
-      r.ti = IndexField(v, "ti");
-      r.tj = IndexField(v, "tj");
+      r.op = U64Field(v, "op", &bad);
+      r.ti = IndexField(v, "ti", &bad);
+      r.tj = IndexField(v, "tj", &bad);
       r.predicted_cost = v.NumberOr("pred_cost", 0.0);
       r.measured_seconds = v.NumberOr("seconds", 0.0);
       r.measured_cpu_ns = v.NumberOr("cpu_ns", 0.0);
-      r.measured_cycles = U64Field(v, "cycles");
+      r.measured_cycles = U64Field(v, "cycles", &bad);
       r.kernel = KernelFromName(v.StringOr("kernel", "mixed"));
       doc.cost.push_back(r);
     }
@@ -450,11 +465,11 @@ Result<AuditLedgerDoc> ParseAuditLedgerJson(std::string_view text) {
       arr != nullptr && arr->is_array()) {
     for (const JsonValue& v : arr->array) {
       WaterLevelAuditRecord r;
-      r.op = U64Field(v, "op");
+      r.op = U64Field(v, "op", &bad);
       r.rho_w = v.NumberOr("rho_w", 0.0);
-      r.projected_bytes = U64Field(v, "projected_bytes");
-      r.result_bytes = U64Field(v, "result_bytes");
-      r.high_water_bytes = U64Field(v, "high_water_bytes");
+      r.projected_bytes = U64Field(v, "projected_bytes", &bad);
+      r.result_bytes = U64Field(v, "result_bytes", &bad);
+      r.high_water_bytes = U64Field(v, "high_water_bytes", &bad);
       r.feasible = v.BoolOr("feasible", true);
       doc.waterlevel.push_back(r);
     }
@@ -463,10 +478,10 @@ Result<AuditLedgerDoc> ParseAuditLedgerJson(std::string_view text) {
       arr != nullptr && arr->is_array()) {
     for (const JsonValue& v : arr->array) {
       SpaModeAuditRecord r;
-      r.op = U64Field(v, "op");
-      r.ti = IndexField(v, "ti");
-      r.tj = IndexField(v, "tj");
-      r.width = IndexField(v, "width");
+      r.op = U64Field(v, "op", &bad);
+      r.ti = IndexField(v, "ti", &bad);
+      r.tj = IndexField(v, "tj", &bad);
+      r.width = IndexField(v, "width", &bad);
       r.predicted_row_nnz = v.NumberOr("pred_row_nnz", -1.0);
       r.actual_row_nnz = v.NumberOr("actual_row_nnz", 0.0);
       r.chosen_mode =
@@ -480,14 +495,14 @@ Result<AuditLedgerDoc> ParseAuditLedgerJson(std::string_view text) {
       arr != nullptr && arr->is_array()) {
     for (const JsonValue& v : arr->array) {
       ReprAuditRecord r;
-      r.op = U64Field(v, "op");
-      r.ti = IndexField(v, "ti");
-      r.tj = IndexField(v, "tj");
-      r.k0 = IndexField(v, "k0");
-      r.k1 = IndexField(v, "k1");
-      r.m = IndexField(v, "m");
-      r.k = IndexField(v, "k");
-      r.n = IndexField(v, "n");
+      r.op = U64Field(v, "op", &bad);
+      r.ti = IndexField(v, "ti", &bad);
+      r.tj = IndexField(v, "tj", &bad);
+      r.k0 = IndexField(v, "k0", &bad);
+      r.k1 = IndexField(v, "k1", &bad);
+      r.m = IndexField(v, "m", &bad);
+      r.k = IndexField(v, "k", &bad);
+      r.n = IndexField(v, "n", &bad);
       r.rho_a = v.NumberOr("rho_a", 0.0);
       r.rho_b = v.NumberOr("rho_b", 0.0);
       r.rho_c_pred = v.NumberOr("rho_c_pred", 0.0);
@@ -509,18 +524,18 @@ Result<AuditLedgerDoc> ParseAuditLedgerJson(std::string_view text) {
       arr != nullptr && arr->is_array()) {
     for (const JsonValue& v : arr->array) {
       ChainAuditRecord r;
-      r.op = U64Field(v, "op");
+      r.op = U64Field(v, "op", &bad);
       r.plan = v.StringOr("plan", "");
-      r.length = IndexField(v, "length");
+      r.length = IndexField(v, "length", &bad);
       r.planned_cost = v.NumberOr("planned_cost", 0.0);
       r.alternative_cost = v.NumberOr("alternative_cost", 0.0);
       r.fused = v.BoolOr("fused", false);
       r.fallback_reason = v.StringOr("fallback_reason", "");
-      r.fused_tasks = IndexField(v, "fused_tasks");
+      r.fused_tasks = IndexField(v, "fused_tasks", &bad);
       r.measured_seconds = v.NumberOr("seconds", 0.0);
-      r.budget_bytes = U64Field(v, "budget_bytes");
-      r.projected_peak_bytes = U64Field(v, "projected_peak_bytes");
-      r.resident_peak_bytes = U64Field(v, "resident_peak_bytes");
+      r.budget_bytes = U64Field(v, "budget_bytes", &bad);
+      r.projected_peak_bytes = U64Field(v, "projected_peak_bytes", &bad);
+      r.resident_peak_bytes = U64Field(v, "resident_peak_bytes", &bad);
       if (const JsonValue* rw = v.Find("rho_w");
           rw != nullptr && rw->is_array()) {
         for (const JsonValue& t : rw->array) {
@@ -536,6 +551,7 @@ Result<AuditLedgerDoc> ParseAuditLedgerJson(std::string_view text) {
       doc.chain.push_back(r);
     }
   }
+  if (!bad.ok()) return bad;
   return doc;
 }
 
@@ -852,8 +868,7 @@ AuditGateResult EvaluateAuditGate(const AuditReport& report,
   std::ostringstream os;
   if (!baseline.is_object() ||
       baseline.StringOr("kind", "") != "atmx_audit_baseline" ||
-      static_cast<int>(baseline.NumberOr("schema_version", 0.0)) !=
-          kAuditLedgerSchemaVersion) {
+      baseline.NumberOr("schema_version", 0.0) != kAuditLedgerSchemaVersion) {
     result.ok = false;
     result.regressions = 1;
     result.text = "audit-gate: baseline is not a valid atmx_audit_baseline "

@@ -3,6 +3,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
 #include "common/timer.h"
@@ -18,8 +19,8 @@ namespace atmx {
 
 double EstimateMultiplyCost(const DensityMap& x, const DensityMap& y,
                             const CostModel& model, double rho_write,
-                            double write_factor,
-                            std::size_t mem_limit_bytes) {
+                            double write_factor, std::size_t mem_limit_bytes,
+                            DensityMap* estimate) {
   ATMX_CHECK_EQ(x.cols(), y.rows());
   ATMX_CHECK_EQ(x.block(), y.block());
   const CostParams& p = model.params();
@@ -65,6 +66,7 @@ double EstimateMultiplyCost(const DensityMap& x, const DensityMap& y,
       }
     }
   }
+  if (estimate != nullptr) *estimate = std::move(result);
   return p.c_ssd * products + write_factor * write_cost;
 }
 
@@ -134,19 +136,18 @@ ChainPlan PlanChain(const std::vector<const DensityMap*>& maps,
       const int j = i + length - 1;
       const double write_factor = WriteFactorFor(options, i, j, n);
       for (int k = i; k < j; ++k) {
+        DensityMap product;
         const double candidate =
             cost[i][k] + cost[k + 1][j] +
             EstimateMultiplyCost(map_of(i, k), map_of(k + 1, j), model,
                                  rho_write, write_factor,
-                                 options.result_mem_limit_bytes);
+                                 options.result_mem_limit_bytes, &product);
         if (candidate < cost[i][j]) {
           cost[i][j] = candidate;
           plan.split[i][j] = k;
+          map[i][j] = std::make_unique<DensityMap>(std::move(product));
         }
       }
-      const int best = plan.split[i][j];
-      map[i][j] = std::make_unique<DensityMap>(EstimateProductDensity(
-          map_of(i, best), map_of(best + 1, j)));
     }
   }
   plan.estimated_cost = cost[0][n - 1];
@@ -161,10 +162,11 @@ double EstimateLeftToRightCost(const std::vector<const DensityMap*>& maps,
   double total = 0.0;
   DensityMap running = *maps[0];
   for (int i = 1; i < n; ++i) {
+    DensityMap product;
     total += EstimateMultiplyCost(running, *maps[i], model, rho_write,
                                   WriteFactorFor(options, 0, i, n),
-                                  options.result_mem_limit_bytes);
-    running = EstimateProductDensity(running, *maps[i]);
+                                  options.result_mem_limit_bytes, &product);
+    running = std::move(product);
   }
   return total;
 }

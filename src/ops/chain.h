@@ -34,11 +34,14 @@ namespace atmx {
 // prices the write side at the water-level threshold that limit forces on
 // this product alone — a per-candidate heuristic so the DP prefers plans
 // whose intermediates stay cheap under the memory SLA (the chain-scope
-// solver commits the final thresholds on the chosen tree).
+// solver commits the final thresholds on the chosen tree). When non-null,
+// `*estimate` receives the estimated density map of X * Y the write side
+// was priced on, so the chain DP estimates every candidate product once.
 double EstimateMultiplyCost(
     const DensityMap& x, const DensityMap& y, const CostModel& model,
     double rho_write, double write_factor = 1.0,
-    std::size_t mem_limit_bytes = std::numeric_limits<std::size_t>::max());
+    std::size_t mem_limit_bytes = std::numeric_limits<std::size_t>::max(),
+    DensityMap* estimate = nullptr);
 
 // Fusion-aware chain pricing. When `fused` is set, every *intermediate*
 // product's write cost is scaled by `fused_write_factor` (< 1: resident

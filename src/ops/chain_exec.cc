@@ -124,6 +124,18 @@ struct ProductNode {
   // tasks (ti, *) finished; as the right operand, col band tj when all
   // (*, tj) finished.
   std::vector<std::atomic<index_t>> remaining;
+
+  // Block-grid region [bi0, bi1) x [bj0, bj1) of the tile of local task
+  // t = ti * num_tj + tj.
+  struct BlockRegion {
+    index_t bi0, bi1, bj0, bj1;
+  };
+  BlockRegion TaskBlocks(index_t t, index_t block) const {
+    const auto ti = static_cast<std::size_t>(t / num_tj);
+    const auto tj = static_cast<std::size_t>(t % num_tj);
+    return {row_bounds[ti] / block, CeilDiv(row_bounds[ti + 1], block),
+            col_bounds[tj] / block, CeilDiv(col_bounds[tj + 1], block)};
+  }
 };
 
 using NodeVec = std::vector<std::unique_ptr<ProductNode>>;
@@ -501,45 +513,24 @@ ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
   }
 
   // --- Admission control against the budget. ----------------------------
-  // Each task's projected output bytes at its product's planned threshold
-  // (the same 8 B/elem dense, 16 B/elem sparse pricing the water level
-  // used). A ready task reserves its projection before launching; the
-  // reservation converts to real charges as tiles materialize and is
-  // dropped when the task finishes, so parked tasks re-enter as completed
-  // consumers retire upstream tiles. ScheduleOptions::admit guarantees
-  // forward progress by force-admitting the oldest parked task when
-  // nothing is in flight.
+  // Each task's projected output bytes at its product's planned threshold,
+  // priced by EstimateMemoryBytes over the task's block region. A ready
+  // task reserves its projection before launching; the reservation
+  // converts to real charges as tiles materialize and is dropped when the
+  // task finishes, so parked tasks re-enter as completed consumers retire
+  // upstream tiles. ScheduleOptions::admit guarantees forward progress by
+  // force-admitting the oldest parked task when nothing is in flight.
   std::vector<std::uint64_t> task_bytes;
   if (budget_bytes > 0) {
     task_bytes.assign(static_cast<std::size_t>(total_tasks), 0);
-    for (auto& node_ptr : nodes) {
-      ProductNode& node = *node_ptr;
+    for (const auto& node_ptr : nodes) {
+      const ProductNode& node = *node_ptr;
       ATMX_CHECK(node.planned != nullptr);
-      const DensityMap& pm = *node.planned;
-      for (index_t ti = 0; ti < node.num_ti; ++ti) {
-        const index_t bi0 =
-            node.row_bounds[static_cast<std::size_t>(ti)] / block;
-        const index_t bi1 =
-            CeilDiv(node.row_bounds[static_cast<std::size_t>(ti) + 1], block);
-        for (index_t tj = 0; tj < node.num_tj; ++tj) {
-          const index_t bj0 =
-              node.col_bounds[static_cast<std::size_t>(tj)] / block;
-          const index_t bj1 = CeilDiv(
-              node.col_bounds[static_cast<std::size_t>(tj) + 1], block);
-          double bytes = 0.0;
-          for (index_t bi = bi0; bi < bi1; ++bi) {
-            for (index_t bj = bj0; bj < bj1; ++bj) {
-              const double area = static_cast<double>(pm.BlockArea(bi, bj));
-              const double rho = pm.At(bi, bj);
-              bytes += rho >= node.ctx.rho_w
-                           ? area * kDenseElemBytes
-                           : rho * area * kSparseElemBytes;
-            }
-          }
-          task_bytes[static_cast<std::size_t>(node.task_offset +
-                                              ti * node.num_tj + tj)] =
-              static_cast<std::uint64_t>(bytes);
-        }
+      for (index_t t = 0; t < node.num_ti * node.num_tj; ++t) {
+        const auto [bi0, bi1, bj0, bj1] = node.TaskBlocks(t, block);
+        task_bytes[static_cast<std::size_t>(node.task_offset + t)] =
+            EstimateMemoryBytes(*node.planned, node.ctx.rho_w, bi0, bi1, bj0,
+                                bj1);
       }
     }
     sched_options.admit = [&resident, &task_bytes](index_t task,
@@ -568,12 +559,7 @@ ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
     const index_t local = task - node.task_offset;
     const index_t ti = local / node.num_tj;
     const index_t tj = local % node.num_tj;
-    const index_t bi0 = node.row_bounds[static_cast<std::size_t>(ti)] / block;
-    const index_t bi1 =
-        CeilDiv(node.row_bounds[static_cast<std::size_t>(ti) + 1], block);
-    const index_t bj0 = node.col_bounds[static_cast<std::size_t>(tj)] / block;
-    const index_t bj1 =
-        CeilDiv(node.col_bounds[static_cast<std::size_t>(tj) + 1], block);
+    const auto [bi0, bi1, bj0, bj1] = node.TaskBlocks(local, block);
     if (node.ctx.use_estimate && node.spec.estimate == nullptr) {
       // Region-by-region estimate from the operands' *actual* maps —
       // bitwise identical to the full up-front estimate, because the
@@ -593,16 +579,7 @@ ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
     // Actual result densities of the task's region, for downstream
     // estimates and the result's density map (tasks write disjoint grid
     // regions).
-    for (index_t bi = bi0; bi < bi1; ++bi) {
-      for (index_t bj = bj0; bj < bj1; ++bj) {
-        const double area = static_cast<double>(node.map.BlockArea(bi, bj));
-        node.map.Set(bi, bj,
-                     area > 0 ? node.block_counts[static_cast<std::size_t>(
-                                    bi * node.ctx.grid_cols + bj)] /
-                                    area
-                              : 0.0);
-      }
-    }
+    node.map.SetFromCounts(node.block_counts, bi0, bi1, bj0, bj1);
     // Root tiles charge too: the resident peak (and any budget) covers the
     // whole footprint the graph holds, result included — the root's
     // charge is released at the end when ownership passes to the caller.

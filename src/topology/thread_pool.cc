@@ -124,24 +124,8 @@ std::uint64_t ScheduleStats::TotalSteals() const {
                          std::uint64_t{0});
 }
 
-double ScheduleStats::MaxBusySeconds() const {
-  double m = 0.0;
-  for (double s : busy_seconds) m = std::max(m, s);
-  return m;
-}
-
 double ScheduleStats::TotalBusySeconds() const {
   return std::accumulate(busy_seconds.begin(), busy_seconds.end(), 0.0);
-}
-
-double ScheduleStats::MaxCpuSeconds() const {
-  double m = 0.0;
-  for (double s : cpu_seconds) m = std::max(m, s);
-  return m;
-}
-
-double ScheduleStats::TotalCpuSeconds() const {
-  return std::accumulate(cpu_seconds.begin(), cpu_seconds.end(), 0.0);
 }
 
 TeamScheduler::TeamScheduler(int num_teams, int threads_per_team) {

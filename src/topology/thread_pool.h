@@ -110,10 +110,7 @@ struct ScheduleStats {
   double makespan_seconds = 0.0;           // wall time of the whole batch
 
   std::uint64_t TotalSteals() const;
-  double MaxBusySeconds() const;
   double TotalBusySeconds() const;
-  double MaxCpuSeconds() const;
-  double TotalCpuSeconds() const;
 };
 
 // A set of worker teams; tasks are queued per team (the home node of the

@@ -519,6 +519,26 @@ TEST(AuditLedgerJson, ParseRejectsWrongKind) {
                    .ok());
 }
 
+TEST(AuditLedgerJson, RejectsOutOfRangeIntegerFields) {
+  // A ledger file is outside input: an integer field its type cannot hold
+  // is an InvalidArgument naming the field, never an undefined cast.
+  const std::pair<std::string, std::string> cases[] = {
+      {"\"schema_version\":1,\"density\":[{\"op\":0,\"bi\":1e300}]",
+       "\"bi\""},
+      {"\"schema_version\":1,\"density\":[{\"op\":-5,\"bi\":0}]",
+       "\"op\""},
+      {"\"schema_version\":1e300", "\"schema_version\""},
+  };
+  for (const auto& [fields, name] : cases) {
+    auto parsed =
+        ParseAuditLedgerJson("{\"kind\":\"atmx_audit_ledger\"," + fields + "}");
+    ASSERT_FALSE(parsed.ok()) << fields;
+    EXPECT_EQ(StatusCode::kInvalidArgument, parsed.status().code());
+    EXPECT_NE(std::string::npos, parsed.status().message().find(name))
+        << parsed.status().message();
+  }
+}
+
 TEST(AuditLedgerGlobal, WriteJsonAndLoadFromDisk) {
   AuditLedger& ledger = AuditLedger::Global();
   ledger.Clear();

@@ -8,8 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
-#include <type_traits>
 #include <utility>
 
 #include "common/math_util.h"
@@ -226,40 +224,11 @@ TEST(PartitionerTest, TilesAreAlignedPowerOfTwoSquares) {
   }
 }
 
-// 64-bit FNV-1a over everything a caller can observe of an AT MATRIX:
-// tile order, geometry, kind, nnz, home node, payload bits, bands and the
+// FNV-1a over everything a caller can observe of an AT MATRIX: tile
+// order, geometry, kind, nnz, home node, payload bits, bands and the
 // density map.
-class AtmHasher {
- public:
-  void Add(std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ = (hash_ ^ ((v >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
-    }
-  }
-  void AddValue(value_t v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    Add(bits);
-  }
-  template <typename T>
-  void AddAll(const std::vector<T>& xs) {
-    Add(xs.size());
-    for (const T& x : xs) {
-      if constexpr (std::is_same_v<T, value_t>) {
-        AddValue(x);
-      } else {
-        Add(static_cast<std::uint64_t>(x));
-      }
-    }
-  }
-  std::uint64_t hash() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
 std::uint64_t HashAtm(const ATMatrix& atm) {
-  AtmHasher h;
+  atmx::testing::Fnv1a h;
   h.Add(atm.rows());
   h.Add(atm.cols());
   h.Add(atm.tiles().size());

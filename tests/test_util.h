@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <type_traits>
+#include <vector>
 
 #include "common/rng.h"
 #include "storage/convert.h"
@@ -62,6 +66,37 @@ inline void ExpectAtmNearDense(const DenseMatrix& expected,
                                const ATMatrix& actual, double tol = 1e-9) {
   ExpectDenseNear(expected, CsrToDense(actual.ToCsr()), tol);
 }
+
+// 64-bit FNV-1a over integers and the bits of doubles, for tests that pin
+// an output bitwise as one hash.
+class Fnv1a {
+ public:
+  void Add(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ = (hash_ ^ ((v >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+  void AddValue(value_t v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    Add(bits);
+  }
+  template <typename T>
+  void AddAll(const std::vector<T>& xs) {
+    Add(xs.size());
+    for (const T& x : xs) {
+      if constexpr (std::is_same_v<T, value_t>) {
+        AddValue(x);
+      } else {
+        Add(static_cast<std::uint64_t>(x));
+      }
+    }
+  }
+  std::uint64_t hash() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
 
 }  // namespace atmx::testing
 

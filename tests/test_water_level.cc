@@ -8,8 +8,10 @@
 
 #include "estimate/density_estimator.h"
 #include "gen/synthetic.h"
+#include "gen/workloads.h"
 #include "obs/obs.h"
 #include "ops/atmult.h"
+#include "tests/test_util.h"
 #include "tile/partitioner.h"
 
 namespace atmx {
@@ -25,20 +27,36 @@ DensityMap FourBlockMap(double d00, double d01, double d10, double d11) {
   return map;
 }
 
+// One product's water level at the floor rho_W = 0: EffectiveWriteThreshold
+// with its feasibility, and the bytes EstimateMemoryBytes projects at the
+// threshold it returns (what ATMULT's predicted-bytes gauge reports).
+struct ProductLevel {
+  double threshold = 0.0;
+  std::size_t projected_bytes = 0;
+  bool feasible = false;
+};
+
+ProductLevel SolveProductLevel(const DensityMap& map, std::size_t limit) {
+  ProductLevel level;
+  level.threshold = EffectiveWriteThreshold(map, 0.0, limit, &level.feasible);
+  level.projected_bytes = EstimateMemoryBytes(map, level.threshold);
+  return level;
+}
+
 TEST(WaterLevelTest, UnlimitedMemoryAllowsLowestLevel) {
   DensityMap map = FourBlockMap(0.9, 0.5, 0.2, 0.05);
-  WaterLevelResult result =
-      SolveWaterLevel(map, std::numeric_limits<std::size_t>::max());
+  const ProductLevel result =
+      SolveProductLevel(map, std::numeric_limits<std::size_t>::max());
   EXPECT_TRUE(result.feasible);
-  // The level can drop to the lowest bar: every block dense.
-  EXPECT_DOUBLE_EQ(result.threshold, 0.05);
+  // The level stays at the floor rho_W: every block dense.
+  EXPECT_DOUBLE_EQ(result.threshold, 0.0);
   EXPECT_EQ(result.projected_bytes, 4u * 256 * 8);
 }
 
 TEST(WaterLevelTest, TightLimitKeepsEverythingSparse) {
   DensityMap map = FourBlockMap(0.3, 0.2, 0.1, 0.05);
   // All-sparse size: (0.65)*256*16 = 2662.4.
-  WaterLevelResult result = SolveWaterLevel(map, 2700);
+  const ProductLevel result = SolveProductLevel(map, 2700);
   EXPECT_TRUE(result.feasible);
   EXPECT_GT(result.threshold, 0.3);  // no block surfaces
   EXPECT_LE(result.projected_bytes, 2700u);
@@ -49,7 +67,7 @@ TEST(WaterLevelTest, IntermediateLimitSurfacesDensestBlocks) {
   // All-sparse: 1.65*256*16 = 6758. Surfacing 0.9: 6758 + 256*(8-14.4)
   // = 5120. Surfacing 0.5 too: +256*(8-8) = 5120. Surfacing 0.2:
   // +256*(8-3.2) = 6349. Surfacing 0.05: +256*(8-0.8)=8192 -> over 7000.
-  WaterLevelResult result = SolveWaterLevel(map, 7000);
+  const ProductLevel result = SolveProductLevel(map, 7000);
   EXPECT_TRUE(result.feasible);
   EXPECT_DOUBLE_EQ(result.threshold, 0.2);
   EXPECT_LE(result.projected_bytes, 7000u);
@@ -58,7 +76,7 @@ TEST(WaterLevelTest, IntermediateLimitSurfacesDensestBlocks) {
 TEST(WaterLevelTest, InfeasibleAllSparseStillReported) {
   DensityMap map = FourBlockMap(0.3, 0.3, 0.3, 0.3);
   // All sparse: 1.2*256*16 = 4915; dense would be 8192. Limit below both.
-  WaterLevelResult result = SolveWaterLevel(map, 1000);
+  const ProductLevel result = SolveProductLevel(map, 1000);
   EXPECT_FALSE(result.feasible);
 }
 
@@ -69,7 +87,8 @@ TEST(WaterLevelTest, DenseBlocksCanRescueInfeasibleSparseLayout) {
   const std::size_t sparse_all =
       static_cast<std::size_t>(4 * 0.95 * 256 * 16);
   const std::size_t dense_all = 4 * 256 * 8;
-  WaterLevelResult result = SolveWaterLevel(map, (sparse_all + dense_all) / 2);
+  const ProductLevel result =
+      SolveProductLevel(map, (sparse_all + dense_all) / 2);
   EXPECT_TRUE(result.feasible);
   EXPECT_LE(result.projected_bytes, (sparse_all + dense_all) / 2);
 }
@@ -86,29 +105,29 @@ TEST(WaterLevelTest, AllEqualDensityFlipsTogether) {
   // Limit admits all-dense but not all-sparse: the committed level must be
   // the full flip — projected_bytes is exactly dense_all, never one of the
   // partial-flip intermediate sums.
-  WaterLevelResult result = SolveWaterLevel(map, 9000);
+  const ProductLevel result = SolveProductLevel(map, 9000);
   EXPECT_TRUE(result.feasible);
   EXPECT_LE(result.threshold, 0.7);
   EXPECT_EQ(result.projected_bytes, dense_all);  // all four flipped
 
   // With the limit below all-dense too, nothing fits: infeasible, and the
   // reported level is the minimum-memory one (everything dense here).
-  WaterLevelResult tight = SolveWaterLevel(map, dense_all - 1);
+  const ProductLevel tight = SolveProductLevel(map, dense_all - 1);
   EXPECT_FALSE(tight.feasible);
   EXPECT_EQ(tight.projected_bytes, dense_all);
 }
 
 TEST(WaterLevelTest, EmptyDensityMap) {
   DensityMap map(0, 0, 16);
-  WaterLevelResult result = SolveWaterLevel(map, 0);
+  const ProductLevel result = SolveProductLevel(map, 0);
   EXPECT_TRUE(result.feasible);
   EXPECT_EQ(result.projected_bytes, 0u);
-  EXPECT_GT(result.threshold, 1.0);  // nothing to surface
+  EXPECT_DOUBLE_EQ(result.threshold, 0.0);  // nothing to raise it for
 }
 
 TEST(WaterLevelTest, ZeroMemLimitFallsBackToMinimumMemory) {
   DensityMap map = FourBlockMap(0.9, 0.5, 0.2, 0.05);
-  WaterLevelResult result = SolveWaterLevel(map, 0);
+  const ProductLevel result = SolveProductLevel(map, 0);
   EXPECT_FALSE(result.feasible);
   // The fallback level is the global memory minimum over all levels.
   std::size_t best = std::numeric_limits<std::size_t>::max();
@@ -120,10 +139,10 @@ TEST(WaterLevelTest, ZeroMemLimitFallsBackToMinimumMemory) {
 }
 
 TEST(WaterLevelTest, ProjectedBytesMatchesEstimateAtCommittedThreshold) {
-  // The solver's projection must be exactly EstimateMemoryBytes at the
-  // threshold it reports — a single formula both the solver and ATMULT's
-  // predicted_bytes gauge agree on — across feasible, tie, and infeasible
-  // outcomes.
+  // The one-product solve's projection must be exactly EstimateMemoryBytes
+  // at the threshold it reports — a single formula both the solver and
+  // ATMULT's predicted_bytes gauge agree on — across feasible, tie, and
+  // infeasible outcomes.
   const DensityMap maps[] = {
       FourBlockMap(0.9, 0.5, 0.2, 0.05), FourBlockMap(0.3, 0.3, 0.3, 0.3),
       FourBlockMap(0.95, 0.95, 0.95, 0.95), FourBlockMap(0.0, 0.0, 0.0, 0.0)};
@@ -131,9 +150,10 @@ TEST(WaterLevelTest, ProjectedBytesMatchesEstimateAtCommittedThreshold) {
                                 std::numeric_limits<std::size_t>::max()};
   for (const DensityMap& map : maps) {
     for (std::size_t limit : limits) {
-      WaterLevelResult result = SolveWaterLevel(map, limit);
-      EXPECT_EQ(result.projected_bytes,
-                EstimateMemoryBytes(map, result.threshold));
+      const ChainWaterLevelResult result =
+          SolveChainWaterLevel({&map}, {-1}, 0.0, limit);
+      EXPECT_EQ(result.projected_peak_bytes,
+                EstimateMemoryBytes(map, result.thresholds[0]));
     }
   }
 }
@@ -292,6 +312,71 @@ TEST(ChainWaterLevelTest, EmptyChainIsTriviallyFeasible) {
   EXPECT_TRUE(result.thresholds.empty());
   EXPECT_EQ(result.projected_peak_bytes, 0u);
 }
+
+// ---- Bitwise pin on the Table I workloads ----
+
+struct PinnedLevels {
+  const char* id;
+  std::uint64_t hash;
+};
+
+void PrintTo(const PinnedLevels& pin, std::ostream* os) { *os << pin.id; }
+
+class WaterLevelPinTest : public ::testing::TestWithParam<PinnedLevels> {};
+
+// Table I workloads at scale 0.05 (seed 0) under the benches' 1 MiB LLC on
+// 2 sockets x 2 cores. One hash covers the bits of the A*A estimate and
+// EffectiveWriteThreshold's threshold and feasibility on that estimate and
+// on A's own map, over a ladder of limits from 0 to above all-dense at
+// rho_W 0.03 and 0. An estimator or water-level change that moves any of
+// them changes a product's representation decisions.
+TEST_P(WaterLevelPinTest, TableI) {
+  const PinnedLevels& pin = GetParam();
+  AtmConfig config;
+  config.llc_bytes = 1 << 20;
+  config.num_sockets = 2;
+  config.cores_per_socket = 2;
+  const ATMatrix a =
+      PartitionToAtm(MakeWorkloadMatrix(pin.id, 0.05, /*seed=*/0), config);
+  const DensityMap estimate =
+      EstimateProductDensity(a.density_map(), a.density_map());
+  atmx::testing::Fnv1a h;
+  h.AddAll(estimate.values());
+  constexpr int kSteps = 64;
+  for (const DensityMap* map : {&estimate, &a.density_map()}) {
+    const double dense_all =
+        static_cast<double>(EstimateMemoryBytes(*map, 0.0));
+    for (int step = 0; step <= kSteps + kSteps / 8; ++step) {
+      const auto limit =
+          static_cast<std::size_t>(dense_all * step / kSteps);
+      for (double rho_w : {0.03, 0.0}) {
+        bool feasible = false;
+        h.AddValue(EffectiveWriteThreshold(*map, rho_w, limit, &feasible));
+        h.Add(feasible);
+      }
+    }
+  }
+  EXPECT_EQ(h.hash(), pin.hash)
+      << pin.id << ": computed 0x" << std::hex << h.hash();
+}
+
+constexpr PinnedLevels kPinnedTableI[] = {
+    {"R1", 0x94acf3996bae0d76ULL}, {"R2", 0x8ac35e7c08a8565aULL},
+    {"R3", 0x2cd36dab6bdc0e83ULL}, {"R4", 0x0e95304175fc0548ULL},
+    {"R5", 0xa8e6fce2884bd51fULL}, {"R6", 0x79cfbee8fcb56380ULL},
+    {"R7", 0xc251bd6753de979cULL}, {"R8", 0x507dda5b41a0cffcULL},
+    {"R9", 0x9a0bcafbd207d89bULL}, {"G1", 0x34938213fe61cc73ULL},
+    {"G2", 0x0e5e5257e627cb86ULL}, {"G3", 0xb483823f3368ec52ULL},
+    {"G4", 0x97fc11553546a78bULL}, {"G5", 0x1da55d66da0f4024ULL},
+    {"G6", 0xf910e995b0bf279aULL}, {"G7", 0xc4ed955844f26e39ULL},
+    {"G8", 0x0b13bb06db994721ULL}, {"G9", 0x4ae559802adc28cdULL},
+};
+
+INSTANTIATE_TEST_SUITE_P(, WaterLevelPinTest,
+                         ::testing::ValuesIn(kPinnedTableI),
+                         [](const auto& info) {
+                           return std::string(info.param.id);
+                         });
 
 }  // namespace
 }  // namespace atmx

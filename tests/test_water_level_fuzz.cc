@@ -53,7 +53,13 @@ TEST_P(WaterLevelFuzzTest, MatchesBruteForce) {
     const std::size_t limit = static_cast<std::size_t>(
         rng.NextDouble() * 1.2 * static_cast<double>(dense_all));
 
-    WaterLevelResult result = SolveWaterLevel(map, limit);
+    // The per-product water level at the floor rho_W = 0, and the
+    // one-product chain solve it is made of.
+    bool feasible = false;
+    const double threshold =
+        EffectiveWriteThreshold(map, 0.0, limit, &feasible);
+    const ChainWaterLevelResult chain =
+        SolveChainWaterLevel({&map}, {-1}, 0.0, limit);
 
     // Brute force: lowest feasible threshold, else global minimum memory.
     bool any_feasible = false;
@@ -68,26 +74,26 @@ TEST_P(WaterLevelFuzzTest, MatchesBruteForce) {
       }
     }
 
-    EXPECT_EQ(result.feasible, any_feasible) << "limit=" << limit;
+    EXPECT_EQ(feasible, any_feasible) << "limit=" << limit;
+    EXPECT_EQ(chain.feasible, any_feasible) << "limit=" << limit;
+    EXPECT_EQ(chain.thresholds[0], threshold) << "limit=" << limit;
     if (any_feasible) {
       // The solver's level must be feasible (up to fp accumulation) and
       // as low as brute force's.
-      EXPECT_LE(static_cast<double>(
-                    EstimateMemoryBytes(map, result.threshold)),
+      EXPECT_LE(static_cast<double>(EstimateMemoryBytes(map, threshold)),
                 static_cast<double>(limit) + 8.0);
-      EXPECT_NEAR(result.threshold, best_feasible, 1e-12);
+      EXPECT_NEAR(threshold, best_feasible, 1e-12);
     } else {
       // Best effort: projected memory equals the global minimum (up to fp
       // accumulation order).
-      EXPECT_NEAR(
-          static_cast<double>(EstimateMemoryBytes(map, result.threshold)),
-          static_cast<double>(min_memory), 8.0);
+      EXPECT_NEAR(static_cast<double>(EstimateMemoryBytes(map, threshold)),
+                  static_cast<double>(min_memory), 8.0);
     }
-    // Projection matches the direct evaluation up to floating-point
-    // accumulation order (the solver sums incremental flips).
+    // The solver's projection matches the direct evaluation up to
+    // floating-point accumulation order (it sums in density order).
     const double direct = static_cast<double>(
-        EstimateMemoryBytes(map, result.threshold));
-    EXPECT_NEAR(static_cast<double>(result.projected_bytes), direct, 8.0);
+        EstimateMemoryBytes(map, chain.thresholds[0]));
+    EXPECT_NEAR(static_cast<double>(chain.projected_peak_bytes), direct, 8.0);
   }
 }
 
