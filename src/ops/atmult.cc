@@ -50,7 +50,8 @@ std::string AtMultStats::ToString() const {
      << ", conv(s->d)=" << sparse_to_dense_conversions
      << ", conv(d->s)=" << dense_to_sparse_conversions
      << ", c_tiles(d/sp)=" << dense_result_tiles << "/"
-     << sparse_result_tiles << ", local=" << LocalFraction()
+     << sparse_result_tiles << ", compressed=" << compressed_result_tiles
+     << ", local=" << LocalFraction()
      << ", stolen=" << tasks_stolen;
   os << ", kernels={";
   bool first = true;

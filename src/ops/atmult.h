@@ -42,6 +42,9 @@ struct AtMultStats {
   index_t dense_to_sparse_conversions = 0;
   index_t dense_result_tiles = 0;
   index_t sparse_result_tiles = 0;
+  // Result tiles planned dense but stored as CSR because their realized
+  // density fell below rho0_W at close; a subset of sparse_result_tiles.
+  index_t compressed_result_tiles = 0;
 
   // Executed tile-pair multiplications by kernel variant, indexed by
   // static_cast<int>(KernelType). Every pair is counted exactly once in

@@ -66,6 +66,7 @@ void AccumulateProductStats(const AtMultStats& s, AtMultStats* total) {
   total->dense_to_sparse_conversions += s.dense_to_sparse_conversions;
   total->dense_result_tiles += s.dense_result_tiles;
   total->sparse_result_tiles += s.sparse_result_tiles;
+  total->compressed_result_tiles += s.compressed_result_tiles;
   for (int v = 0; v < kNumKernelTypes; ++v) {
     total->kernel_invocations[v] += s.kernel_invocations[v];
   }
@@ -274,6 +275,10 @@ ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
   Mutex stats_mutex;
   ResidentTileSet resident;
   if (budget_bytes > 0) resident.set_budget_bytes(budget_bytes);
+  // Parked zero accumulators, one slot per team, shared by every node
+  // (ProductContext::parked); freed once every task has run.
+  const int teams = config.EffectiveTeams();
+  std::vector<DenseMatrix> parked(static_cast<std::size_t>(teams));
 
   NodeVec nodes;
   nodes.reserve(specs.size());
@@ -359,12 +364,14 @@ ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
     }
     ATMX_CHECK_GE(spec.rho_w, 0.0);
     ctx.rho_w = spec.rho_w;
+    ctx.rho_write = config.rho_write;
     ctx.dynamic_conversion = config.dynamic_conversion;
     ctx.cost_model = &op.cost_model();
     ctx.c_init = spec.c_init;
     ctx.c_tiles = &node.tiles;
     ctx.block_counts = &node.block_counts;
     ctx.grid_cols = node.map.grid_cols();
+    ctx.parked = &parked;
     ctx.stats = &node.stats;
     ctx.stats_mutex = &stats_mutex;
     node.stats.effective_write_threshold = ctx.rho_w;
@@ -551,7 +558,6 @@ ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
   }
 
   // --- Run the DAG. -----------------------------------------------------
-  const int teams = config.EffectiveTeams();
   TeamScheduler scheduler(teams, config.EffectiveThreadsPerTeam());
 
   auto run_task = [&](WorkerTeam& team, index_t task) {
@@ -646,6 +652,12 @@ ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
       fused ? std::function<void(WorkerTeam&, index_t)>(run_fused_task)
             : std::function<void(WorkerTeam&, index_t)>(run_task),
       sched_options, &sched_stats);
+#if defined(ATMX_OBS_ENABLED)
+  for (const DenseMatrix& d : parked) {
+    obs::MemTracker::Global().RecordFree(d.MemoryBytes());
+  }
+#endif
+  parked.clear();
 
   // --- Close out stats. -------------------------------------------------
   stats->total = AtMultStats();
@@ -687,6 +699,8 @@ ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
   ATMX_COUNTER_ADD("atmult.pairs", total.pair_multiplications);
   ATMX_COUNTER_ADD("atmult.result_tiles.dense", total.dense_result_tiles);
   ATMX_COUNTER_ADD("atmult.result_tiles.sparse", total.sparse_result_tiles);
+  ATMX_COUNTER_ADD("atmult.result_tiles.compressed",
+                   total.compressed_result_tiles);
   ATMX_COUNTER_ADD("atmult.bytes.local_read", total.local_read_bytes);
   ATMX_COUNTER_ADD("atmult.bytes.remote_read", total.remote_read_bytes);
   ATMX_COUNTER_ADD("atmult.bytes.local_write", total.local_write_bytes);

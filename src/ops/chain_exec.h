@@ -80,7 +80,9 @@ struct ProductNodeSpec {
 // per_product in node order, total (plus the graph-wide conversions and
 // scheduler outcome), resident_peak_bytes and, for multi-node (fused)
 // graphs, fused/fused_tasks. Publishes the atmult.* registry counters and
-// the density-ledger join of every node.
+// the density-ledger join of every node. Owns one parked-accumulator slot
+// per team (ProductContext::parked), outside the budget, until every task
+// has run.
 ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& nodes,
                          const AtMult& op, std::uint64_t budget_bytes,
                          ChainExecStats* stats);

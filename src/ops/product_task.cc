@@ -381,7 +381,18 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
     // row loop.
     c_tiles[task] = Tile::MakeSparse(r0, c0, CsrMatrix(m, n));
   } else if (c_dense) {
-    DenseMatrix target(m, n);
+    // The team's parked accumulator is all zero: take it when the shape
+    // fits instead of allocating and zero-filling a fresh one.
+    DenseMatrix& parked = (*ctx.parked)[static_cast<std::size_t>(exec_node)];
+    DenseMatrix target;
+    if (parked.rows() == m && parked.cols() == n) {
+#if defined(ATMX_OBS_ENABLED)
+      obs::MemTracker::Global().RecordFree(parked.MemoryBytes());
+#endif
+      target = std::exchange(parked, DenseMatrix());
+    } else {
+      target = DenseMatrix(m, n);
+    }
     for (const SeedWindow& sw : seeds) {
       if (sw.tile->is_dense()) {
         const DenseMatrix& d = sw.tile->dense();
@@ -419,22 +430,69 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
         MultiplyIntoDense(pp.a, pp.b, target.MutView(), lo, hi);
       });
     }
-    // Single cache-hot pass: per-block counts + tile nnz.
+    // Single cache-hot pass: per-block, per-row and tile nnz. It reads only
+    // blocks the estimate reaches: an estimate is exactly 0 only where no
+    // (A block, B block) pair along the contraction and no C block is
+    // non-zero, so with finite operands no kernel or seed wrote there.
+    const auto reached = [&](index_t bi, index_t j0) {
+      return ctx.estimate->At(bi, (c0 + j0) / block) != 0.0;
+    };
+    std::vector<index_t> row_ptr(static_cast<std::size_t>(m) + 1, 0);
     index_t tile_nnz = 0;
     for (index_t i = 0; i < m; ++i) {
       const index_t bi = (r0 + i) / block;
       const value_t* row = target.data() + i * target.ld();
       for (index_t j0 = 0; j0 < n; j0 += block) {
+        if (!reached(bi, j0)) continue;
         const index_t j1 = std::min(j0 + block, n);
         index_t count = 0;
         for (index_t j = j0; j < j1; ++j) count += (row[j] != 0.0);
         block_counts[bi * grid_cols + (c0 + j0) / block] +=
             static_cast<double>(count);
-        tile_nnz += count;
+        row_ptr[i + 1] += count;
       }
+      tile_nnz += row_ptr[i + 1];
     }
-    c_tiles[task] =
-        Tile::MakeDenseCounted(r0, c0, std::move(target), tile_nnz);
+    // Re-decide the representation from the realized density. Below
+    // rho0_W the estimate was wrong: copy the tile into an exactly sized
+    // CSR (count, then copy), zeroing each entry as it is copied, and park
+    // the now all-zero accumulator for the team's next dense tile. The
+    // water level only raises rhoD_W above rho0_W for memory, and a tile
+    // realizing between the two stays dense as planned.
+    if (static_cast<double>(tile_nnz) <
+        ctx.rho_write * static_cast<double>(m) * static_cast<double>(n)) {
+      for (index_t i = 0; i < m; ++i) row_ptr[i + 1] += row_ptr[i];
+      std::vector<index_t> col_idx(static_cast<std::size_t>(tile_nnz));
+      std::vector<value_t> values(static_cast<std::size_t>(tile_nnz));
+      for (index_t i = 0; i < m; ++i) {
+        const index_t bi = (r0 + i) / block;
+        value_t* row = target.data() + i * target.ld();
+        index_t p = row_ptr[i];
+        // Blocks run left to right, so columns come out ascending.
+        for (index_t j0 = 0; j0 < n; j0 += block) {
+          if (!reached(bi, j0)) continue;
+          const index_t j1 = std::min(j0 + block, n);
+          for (index_t j = j0; j < j1; ++j) {
+            if (row[j] == 0.0) continue;
+            col_idx[p] = j;
+            values[p] = row[j];
+            ++p;
+            row[j] = 0.0;
+          }
+        }
+      }
+      c_tiles[task] = Tile::MakeSparse(
+          r0, c0, CsrMatrix(m, n, std::move(row_ptr), std::move(col_idx),
+                            std::move(values)));
+#if defined(ATMX_OBS_ENABLED)
+      obs::MemTracker::Global().RecordFree(parked.MemoryBytes());
+      obs::MemTracker::Global().RecordAlloc(target.MemoryBytes());
+#endif
+      parked = std::move(target);
+    } else {
+      c_tiles[task] =
+          Tile::MakeDenseCounted(r0, c0, std::move(target), tile_nnz);
+    }
   } else {
     // Seeds one region-local row of the accumulator into the SPA.
     auto seed_row = [&](index_t i, SparseAccumulator* spa) {
@@ -667,6 +725,7 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
     stats->dense_result_tiles++;
   } else {
     stats->sparse_result_tiles++;
+    if (c_dense) stats->compressed_result_tiles++;
   }
 }
 

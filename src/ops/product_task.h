@@ -99,6 +99,10 @@ struct ProductContext {
   bool use_estimate = false;
   const DensityMap* estimate = nullptr;
   double rho_w = 0.0;  // effective write threshold rhoD_W
+  // Configured write threshold rho0_W (AtmConfig::rho_write). A
+  // dense-planned tile whose realized density falls below it closes as an
+  // exactly sized CSR instead (RunProductTileTask).
+  double rho_write = 0.0;
 
   bool dynamic_conversion = true;
   const CostModel* cost_model = nullptr;
@@ -118,6 +122,13 @@ struct ProductContext {
   std::vector<Tile>* c_tiles = nullptr;
   std::vector<double>* block_counts = nullptr;
   index_t grid_cols = 0;
+
+  // One slot per team (WorkerTeam::team_id()) holding an all-zero dense
+  // accumulator that a dense-planned tile closing as CSR left behind; the
+  // team's next dense-planned tile of the same shape takes it instead of
+  // allocating. Only the team's driver thread touches its slot. The
+  // MemTracker counts a parked accumulator; the result budget does not.
+  std::vector<DenseMatrix>* parked = nullptr;
 
   // Per-product stats accumulation (timings, pairs, kernel variants,
   // result-tile census, locality bytes), guarded by stats_mutex.
@@ -178,6 +189,8 @@ TaskPlan PlanTileTask(const ProductContext& ctx, index_t ti, index_t tj,
 // Runs task `task` (= ti * b.num_col_bands() + tj): produces the C tile
 // for row band ti x col band tj into (*ctx.c_tiles)[task], accumulates the
 // block counts and stats (including the tile's dense/sparse census).
+// A dense-planned tile is re-decided at close from its realized density:
+// below ctx.rho_write it is stored as CSR and its accumulator parked.
 // `team` provides intra-task parallelism and the locality accounting node.
 void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
                         index_t task);

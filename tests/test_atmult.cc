@@ -9,6 +9,7 @@
 
 #include "gen/rmat.h"
 #include "gen/synthetic.h"
+#include "gen/workloads.h"
 #include "kernels/kernel_dispatch.h"
 #include "kernels/sparse_kernels.h"
 #include "ops/chain.h"
@@ -20,6 +21,8 @@
 namespace atmx {
 namespace {
 
+using atmx::testing::BlockDiagonal;
+using atmx::testing::ExpectAtmNearDense;
 using atmx::testing::ExpectDenseNear;
 using atmx::testing::RandomCoo;
 
@@ -370,6 +373,98 @@ TEST(AtMultStatsTest, DecisionTableCountsOnlyFreshConversions) {
   ledger.Clear();
 }
 #endif
+
+// --- Tile close: a dense-planned tile is re-decided from its realized
+// density. ------------------------------------------------------------------
+
+// The banded R8 surrogate is the estimator's outlier. Under the end-to-end
+// benchmark's setting (2 x 2 teams, 1 MiB LLC) its 464 x 464 corner tile
+// is estimated at 0.083, planned dense, and realizes 0.027: it must close
+// as CSR, like every other tile realizing below rho0_W.
+TEST(AtMultTest, OverestimatedDenseTilesCloseAsCsr) {
+  const CooMatrix coo = MakeWorkloadMatrix("R8", 0.03, 0);
+  AtmConfig config;
+  config.num_sockets = 2;
+  config.cores_per_socket = 2;
+  config.llc_bytes = 1 << 20;
+  AtMultStats stats;
+  const ATMatrix a = PartitionToAtm(coo, config);
+  const ATMatrix c = AtMult(config).Multiply(a, a, &stats);
+  EXPECT_GE(stats.compressed_result_tiles, 1);
+  for (const Tile& t : c.tiles()) {
+    if (t.is_dense()) {
+      EXPECT_GE(t.Density(), config.rho_write)
+          << "dense tile at (" << t.row0() << "," << t.col0() << ")";
+    }
+  }
+  const CsrMatrix csr = CooToCsr(coo);
+  ExpectAtmNearDense(CsrToDense(SpGemmCsr(csr, csr)), c);
+
+  const CsrMatrix want = c.ToCsr();
+  for (int teams : {1, 4}) {
+    config.num_sockets = teams;
+    const ATMatrix at = PartitionToAtm(coo, config);
+    const CsrMatrix got = AtMult(config).Multiply(at, at).ToCsr();
+    EXPECT_EQ(got.row_ptr(), want.row_ptr()) << "teams=" << teams;
+    EXPECT_EQ(got.col_idx(), want.col_idx()) << "teams=" << teams;
+    EXPECT_EQ(got.values(), want.values()) << "teams=" << teams;
+  }
+}
+
+// diag(banded, uniform) with two 512 x 512 bands. On one team without work
+// stealing tasks run in (ti, tj) order, and A * A has two dense-planned
+// 512 x 512 diagonal tiles: the banded band's (estimated 0.036, realized
+// 0.018) closes as CSR and parks its accumulator, and the uniform band's
+// (0.065) stays dense in that accumulator. Every value must be exactly the
+// reference's: nothing the first tile wrote may leak into the second.
+TEST(AtMultTest, ParkedAccumulatorIsReusedAllZero) {
+  AtmConfig config = TestConfig();
+  config.num_sockets = 1;
+  config.cores_per_socket = 1;
+  config.work_stealing = false;
+  config.llc_bytes = 256 * 1024;
+  config.b_atomic = 32;
+  const CooMatrix a_coo = BlockDiagonal(GenerateBanded(512, 2, 1.0, 5),
+                                        GenerateUniform(512, 512, 3000, 6));
+  const ATMatrix a = PartitionToAtm(a_coo, config);
+  // MultiplyAdd's accumulator has entries in blocks of tile (0, 0) that
+  // A * A cannot reach: the close must count and copy those blocks too.
+  CooMatrix c_coo(1024, 1024);
+  c_coo.Add(0, 500, 1.5);
+  c_coo.Add(40, 300, -0.25);
+  c_coo.Add(511, 7, 2.0);
+  const ATMatrix c_init = PartitionToAtm(c_coo, config);
+  const CsrMatrix a_csr = CooToCsr(a_coo);
+  const DenseMatrix product = CsrToDense(SpGemmCsr(a_csr, a_csr));
+  const AtMult op(config);
+
+  for (const bool add : {false, true}) {
+    DenseMatrix expected = product;
+    if (add) {
+      for (const CooEntry& e : c_coo.entries()) {
+        ASSERT_EQ(expected.At(e.row, e.col), 0.0);
+        expected.At(e.row, e.col) = e.value;
+      }
+    }
+    AtMultStats stats;
+    const ATMatrix c =
+        add ? op.MultiplyAdd(c_init, a, a, &stats) : op.Multiply(a, a, &stats);
+    ASSERT_EQ(c.num_tiles(), 4) << "add=" << add;
+    EXPECT_EQ(stats.compressed_result_tiles, 1) << "add=" << add;
+    EXPECT_EQ(stats.dense_result_tiles, 1) << "add=" << add;
+    for (const Tile& t : c.tiles()) {
+      index_t mismatches = 0;
+      for (index_t i = t.row0(); i < t.row_end(); ++i) {
+        for (index_t j = t.col0(); j < t.col_end(); ++j) {
+          mismatches += t.At(i, j) != expected.At(i, j);
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << "add=" << add << " tile (" << t.row0()
+                               << "," << t.col0() << ") "
+                               << TileKindName(t.kind());
+    }
+  }
+}
 
 TEST(AtMultTest, ChainedMultiplication) {
   // (A*A)*A via AT MATRIX chaining — the result's density map feeds the

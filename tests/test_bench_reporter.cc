@@ -73,7 +73,7 @@ TEST(BenchReporterTest, ReportContainsSchemaConfigAndCases) {
 
   reporter.MeasureCase("case.measured", [] {
     volatile int x = 0;
-    for (int i = 0; i < 1000; ++i) x += i;
+    for (int i = 0; i < 1000; ++i) x = x + i;
     (void)x;
   });
   reporter.AddSample("case.oneshot", 0.125);

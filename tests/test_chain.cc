@@ -25,6 +25,7 @@
 namespace atmx {
 namespace {
 
+using atmx::testing::BlockDiagonal;
 using atmx::testing::ExpectDenseNear;
 using atmx::testing::RandomCoo;
 
@@ -245,6 +246,54 @@ TEST(ChainExecuteTest, FusedMatchesUnfusedBitwiseAcrossTeams) {
       ASSERT_EQ(fused.values()[i], unfused.values()[i])
           << "teams=" << teams << " value index " << i;
     }
+  }
+}
+
+// A * A * A with A = diag(banded, uniform): the banded band's tile of the
+// intermediate A * A is planned dense, realizes below rho0_W and closes as
+// CSR, so the consuming product reads a CSR operand, and the fused graph's
+// products share the teams' parked accumulators. Fused and
+// product-at-a-time execution run the same close and must agree bitwise.
+TEST(ChainExecuteTest, CompressedIntermediateFusedMatchesUnfusedBitwise) {
+  const CooMatrix coo = BlockDiagonal(GenerateBanded(512, 2, 1.0, 5),
+                                      GenerateUniform(512, 512, 3000, 6));
+  const CsrMatrix csr = CooToCsr(coo);
+  const DenseMatrix expected = CsrToDense(SpGemmCsr(SpGemmCsr(csr, csr), csr));
+  for (int teams : {1, 2, 4}) {
+    AtmConfig config = ChainConfig();
+    config.llc_bytes = 256 * 1024;
+    config.b_atomic = 32;
+    config.num_sockets = teams;
+    const ATMatrix a = PartitionToAtm(coo, config);
+    const ChainPlan plan =
+        PlanChain({&a.density_map(), &a.density_map(), &a.density_map()},
+                  CostModel(), config.rho_write);
+    AtmConfig fused_config = config;
+    fused_config.fused_chains = true;
+    AtmConfig unfused_config = config;
+    unfused_config.fused_chains = false;
+
+    ChainExecStats fused_stats;
+    ChainExecStats unfused_stats;
+    const ATMatrix fused =
+        ExecuteChain({&a, &a, &a}, plan, AtMult(fused_config), &fused_stats);
+    const ATMatrix unfused = ExecuteChain({&a, &a, &a}, plan,
+                                          AtMult(unfused_config),
+                                          &unfused_stats);
+    EXPECT_TRUE(fused_stats.fused) << "teams=" << teams;
+    ASSERT_EQ(fused_stats.per_product.size(), 2u) << "teams=" << teams;
+    EXPECT_GE(fused_stats.per_product.front().compressed_result_tiles, 1)
+        << "teams=" << teams;
+    EXPECT_EQ(fused_stats.total.compressed_result_tiles,
+              unfused_stats.total.compressed_result_tiles)
+        << "teams=" << teams;
+    ExpectDenseNear(expected, CsrToDense(fused.ToCsr()), 1e-9);
+
+    const CsrMatrix f = fused.ToCsr();
+    const CsrMatrix u = unfused.ToCsr();
+    EXPECT_EQ(f.row_ptr(), u.row_ptr()) << "teams=" << teams;
+    EXPECT_EQ(f.col_idx(), u.col_idx()) << "teams=" << teams;
+    EXPECT_EQ(f.values(), u.values()) << "teams=" << teams;
   }
 }
 

@@ -14,6 +14,7 @@
 namespace atmx {
 namespace {
 
+using atmx::testing::BlockDiagonal;
 using atmx::testing::RandomCoo;
 
 AtmConfig ExplainConfig() {
@@ -26,27 +27,48 @@ AtmConfig ExplainConfig() {
 }
 
 TEST(ExplainTest, PlanMatchesExecutionStats) {
-  AtmConfig config = ExplainConfig();
-  CooMatrix coo = GenerateDiagonalDenseBlocks(96, 3, 16, 0.9, 300, 1);
-  ATMatrix atm = PartitionToAtm(coo, config);
-  CostModel model;
+  struct Case {
+    CooMatrix coo;
+    index_t llc_bytes;
+    index_t b_atomic;
+    index_t compressed;  // result tiles planned dense, stored as CSR
+  };
+  // The second input's banded band is over-estimated: one of its tiles is
+  // planned dense and closes as CSR.
+  const Case cases[] = {
+      {GenerateDiagonalDenseBlocks(96, 3, 16, 0.9, 300, 1), 1 << 20, 16, 0},
+      {BlockDiagonal(GenerateBanded(512, 2, 1.0, 5),
+                     GenerateUniform(512, 512, 3000, 6)),
+       256 * 1024, 32, 1},
+  };
+  for (const Case& c : cases) {
+    AtmConfig config = ExplainConfig();
+    config.llc_bytes = c.llc_bytes;
+    config.b_atomic = c.b_atomic;
+    ATMatrix atm = PartitionToAtm(c.coo, config);
+    CostModel model;
 
-  MultiplyPlan plan = ExplainMultiply(atm, atm, config, model);
-  AtMult op(config, model);
-  AtMultStats stats;
-  ATMatrix c = op.Multiply(atm, atm, &stats);
+    MultiplyPlan plan = ExplainMultiply(atm, atm, config, model);
+    AtMult op(config, model);
+    AtMultStats stats;
+    ATMatrix result = op.Multiply(atm, atm, &stats);
 
-  // The plan predicts exactly what execution does.
-  EXPECT_EQ(static_cast<index_t>(plan.pairs.size()),
-            stats.pair_multiplications);
-  EXPECT_EQ(plan.dense_target_tiles, stats.dense_result_tiles);
-  EXPECT_EQ(plan.sparse_target_tiles, stats.sparse_result_tiles);
-  EXPECT_EQ(plan.planned_conversions,
-            stats.sparse_to_dense_conversions +
-                stats.dense_to_sparse_conversions);
-  EXPECT_DOUBLE_EQ(plan.effective_write_threshold,
-                   stats.effective_write_threshold);
-  EXPECT_EQ(plan.num_row_bands * plan.num_col_bands, c.num_tiles());
+    // The plan predicts exactly what execution does. A tile planned dense
+    // is re-decided at close and may be stored as CSR (compressed).
+    EXPECT_EQ(stats.compressed_result_tiles, c.compressed);
+    EXPECT_EQ(static_cast<index_t>(plan.pairs.size()),
+              stats.pair_multiplications);
+    EXPECT_EQ(plan.dense_target_tiles,
+              stats.dense_result_tiles + stats.compressed_result_tiles);
+    EXPECT_EQ(plan.sparse_target_tiles,
+              stats.sparse_result_tiles - stats.compressed_result_tiles);
+    EXPECT_EQ(plan.planned_conversions,
+              stats.sparse_to_dense_conversions +
+                  stats.dense_to_sparse_conversions);
+    EXPECT_DOUBLE_EQ(plan.effective_write_threshold,
+                     stats.effective_write_threshold);
+    EXPECT_EQ(plan.num_row_bands * plan.num_col_bands, result.num_tiles());
+  }
 }
 
 TEST(ExplainTest, PredictsConversions) {

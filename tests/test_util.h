@@ -67,6 +67,17 @@ inline void ExpectAtmNearDense(const DenseMatrix& expected,
   ExpectDenseNear(expected, CsrToDense(actual.ToCsr()), tol);
 }
 
+// Block-diagonal diag(x, y).
+inline CooMatrix BlockDiagonal(const CooMatrix& x, const CooMatrix& y) {
+  CooMatrix out(x.rows() + y.rows(), x.cols() + y.cols());
+  out.Reserve(static_cast<std::size_t>(x.nnz() + y.nnz()));
+  for (const CooEntry& e : x.entries()) out.Add(e.row, e.col, e.value);
+  for (const CooEntry& e : y.entries()) {
+    out.Add(x.rows() + e.row, x.cols() + e.col, e.value);
+  }
+  return out;
+}
+
 // 64-bit FNV-1a over integers and the bits of doubles, for tests that pin
 // an output bitwise as one hash.
 class Fnv1a {
