@@ -112,6 +112,42 @@ std::uint64_t ApproxWindowBytes(bool dense, double rho, index_t m,
       dense ? area * kDenseElemBytes : rho * area * kSparseElemBytes);
 }
 
+#if defined(ATMX_OBS_ENABLED)
+// Closes the kernel observation of a task's row loop, which started at
+// `start_ns` (-1 when the trace recorder was off) and `begin`. Both target
+// paths run every pair inside one row loop, so no pair has an interval or
+// a counter delta of its own. Each pair gets one "kernel" complete event
+// covering the loop and flagged `interleaved` (they stack in Perfetto),
+// which keeps the kernel span count equal to the kernel invocation
+// counters. The loop's counter delta goes to the pairs' variant when they
+// all agree, and otherwise to the kernel.mixed_loop pseudo-variant rather
+// than to every variant in full.
+void RecordInterleavedKernels(const std::vector<PreparedPair>& prepared,
+                              bool c_dense, std::int64_t start_ns,
+                              const obs::PerfSnapshot& begin,
+                              std::vector<obs::TraceArg> args) {
+  if (prepared.empty()) return;
+  const obs::PerfDelta delta = obs::PerfDeltaSince(begin);
+  const auto kernel = [c_dense](const PreparedPair& pp) {
+    return DispatchKernelType(pp.a, pp.b, c_dense);
+  };
+  const KernelType kt0 = kernel(prepared.front());
+  const bool uniform = std::all_of(
+      prepared.begin(), prepared.end(),
+      [&](const PreparedPair& pp) { return kernel(pp) == kt0; });
+  obs::AccumulatePerfMetrics(
+      uniform ? KernelPerfMetricPrefix(kt0) : "kernel.mixed_loop", delta);
+  if (start_ns < 0) return;
+  const std::int64_t dur_ns = obs::TraceRecorder::NowNanos() - start_ns;
+  args.push_back({"interleaved", 1});
+  obs::AppendPerfArgs(delta, &args);
+  for (const PreparedPair& pp : prepared) {
+    obs::TraceRecorder::Global().RecordComplete(
+        "kernel", KernelTypeName(kernel(pp)), start_ns, dur_ns, args);
+  }
+}
+#endif
+
 }  // namespace
 
 ProductEstimate EstimateProduct(const ATMatrix& a, const ATMatrix& b,
@@ -374,7 +410,46 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
   opt_seconds = opt_timer.ElapsedSeconds();
 
   // --- Execute: accumulate all pairs into the C tile. -----------------
+  // Seeds one region-local row of the accumulator: add(j, v) for every
+  // non-zero seed value, j region-local. Both target paths seed through it.
+  const auto seed_row = [&seeds](index_t i, const auto& add) {
+    for (const SeedWindow& sw : seeds) {
+      const index_t ti_local = sw.tr0 + (i - sw.out_r0);
+      if (i < sw.out_r0 || ti_local >= sw.tr1) continue;
+      if (sw.tile->is_dense()) {
+        const DenseMatrix& d = sw.tile->dense();
+        const value_t* src = d.data() + ti_local * d.ld();
+        for (index_t j = sw.tc0; j < sw.tc1; ++j) {
+          if (src[j] != 0.0) add(sw.out_c0 + j - sw.tc0, src[j]);
+        }
+      } else {
+        const CsrMatrix& sp = sw.tile->sparse();
+        index_t first, last;
+        sp.RowColRange(ti_local, sw.tc0, sw.tc1, &first, &last);
+        for (index_t p = first; p < last; ++p) {
+          add(sw.out_c0 + sp.col_idx()[p] - sw.tc0, sp.values()[p]);
+        }
+      }
+    }
+  };
   WallTimer mult_timer;
+#if defined(ATMX_OBS_ENABLED)
+  const std::int64_t loop_start_ns =
+      obs::TraceRecorder::Global().enabled() ? obs::TraceRecorder::NowNanos()
+                                             : -1;
+  const obs::PerfSnapshot loop_begin =
+      prepared.empty() ? obs::PerfSnapshot() : obs::PerfBeginSnapshot();
+  const auto record_kernels = [&] {
+    RecordInterleavedKernels(prepared, c_dense, loop_start_ns, loop_begin,
+                             {{"ti", ti},
+                              {"tj", tj},
+                              {"rows", m},
+                              {"cols", n},
+                              {"node", exec_node}});
+  };
+#else
+  const auto record_kernels = [] {};
+#endif
   if (prepared.empty() && seeds.empty()) {
     // Nothing contributes to this C tile (common off the diagonal of
     // banded matrices): emit an empty sparse tile without touching the
@@ -382,74 +457,69 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
     c_tiles[task] = Tile::MakeSparse(r0, c0, CsrMatrix(m, n));
   } else if (c_dense) {
     // The team's parked accumulator is all zero: take it when the shape
-    // fits instead of allocating and zero-filling a fresh one.
+    // fits. A fresh one is not zero-filled here; the row loop zeroes it.
     DenseMatrix& parked = (*ctx.parked)[static_cast<std::size_t>(exec_node)];
     DenseMatrix target;
-    if (parked.rows() == m && parked.cols() == n) {
+    const bool zeroed = parked.rows() == m && parked.cols() == n;
+    if (zeroed) {
 #if defined(ATMX_OBS_ENABLED)
       obs::MemTracker::Global().RecordFree(parked.MemoryBytes());
 #endif
       target = std::exchange(parked, DenseMatrix());
     } else {
-      target = DenseMatrix(m, n);
+      target = DenseMatrix::Uninitialized(m, n);
     }
-    for (const SeedWindow& sw : seeds) {
-      if (sw.tile->is_dense()) {
-        const DenseMatrix& d = sw.tile->dense();
-        for (index_t i = sw.tr0; i < sw.tr1; ++i) {
-          const value_t* src = d.data() + i * d.ld() + sw.tc0;
-          value_t* dst = target.data() +
-                         (sw.out_r0 + i - sw.tr0) * target.ld() +
-                         sw.out_c0;
-          for (index_t j = 0; j < sw.tc1 - sw.tc0; ++j) dst[j] += src[j];
-        }
-      } else {
-        const CsrMatrix& sp = sw.tile->sparse();
-        for (index_t i = sw.tr0; i < sw.tr1; ++i) {
-          index_t first, last;
-          sp.RowColRange(i, sw.tc0, sw.tc1, &first, &last);
-          value_t* dst =
-              target.data() + (sw.out_r0 + i - sw.tr0) * target.ld();
-          for (index_t p = first; p < last; ++p) {
-            dst[sw.out_c0 + sp.col_idx()[p] - sw.tc0] += sp.values()[p];
-          }
-        }
-      }
-    }
-    for (const PreparedPair& pp : prepared) {
-      const KernelType kt = DispatchKernelType(pp.a, pp.b, /*c_dense=*/true);
-      ++task_kernels[static_cast<int>(kt)];
-      // Perf span: counter deltas (LLC misses etc.) land as args on the
-      // kernel trace span and accumulate under kernel.<variant>.*. On a
-      // multi-thread team only the calling thread's share is counted.
-      ATMX_PERF_SPAN_ARGS("kernel", KernelTypeName(kt),
-                          KernelPerfMetricPrefix(kt), {"ti", ti},
-                          {"tj", tj}, {"rows", m}, {"cols", n},
-                          {"node", exec_node});
-      team.ParallelFor(m, /*grain=*/16, [&](index_t lo, index_t hi) {
-        MultiplyIntoDense(pp.a, pp.b, target.MutView(), lo, hi);
-      });
-    }
-    // Single cache-hot pass: per-block, per-row and tile nnz. It reads only
-    // blocks the estimate reaches: an estimate is exactly 0 only where no
-    // (A block, B block) pair along the contraction and no C block is
-    // non-zero, so with finite operands no kernel or seed wrote there.
+    // Counts read only blocks the estimate reaches: an estimate is exactly
+    // 0 only where no (A block, B block) pair along the contraction and no
+    // C block is non-zero, so with finite operands no kernel or seed wrote
+    // there.
     const auto reached = [&](index_t bi, index_t j0) {
       return ctx.estimate->At(bi, (c0 + j0) / block) != 0.0;
     };
+    const index_t tile_block_cols = CeilDiv(n, block);
     std::vector<index_t> row_ptr(static_cast<std::size_t>(m) + 1, 0);
+    // Non-zeros per (row, block column) of the tile. A row belongs to one
+    // chunk, so chunks write disjoint entries.
+    std::vector<index_t> row_block_nnz(
+        static_cast<std::size_t>(m * tile_block_cols), 0);
+    const DenseMutView view = target.MutView();
+    // One pass per 16-row chunk, on the team's threads, while the chunk is
+    // cache-hot: zero its rows (unreached blocks too, the stored tile must
+    // be zero there), add its seeds, run every pair in plan order, and
+    // count its non-zeros per reached block. Every element receives 0, its
+    // seed, then each pair's contributions in plan order and ascending k,
+    // whatever the row split, so the values do not depend on the team.
+    team.ParallelFor(m, /*grain=*/16, [&](index_t lo, index_t hi) {
+      if (!zeroed) std::fill(view.RowPtr(lo), view.RowPtr(hi), 0.0);
+      for (index_t i = lo; i < hi; ++i) {
+        value_t* row = view.RowPtr(i);
+        seed_row(i, [row](index_t j, value_t v) { row[j] += v; });
+      }
+      for (const PreparedPair& pp : prepared) {
+        MultiplyIntoDense(pp.a, pp.b, view, lo, hi);
+      }
+      for (index_t i = lo; i < hi; ++i) {
+        const index_t bi = (r0 + i) / block;
+        const value_t* row = view.RowPtr(i);
+        index_t* counts = row_block_nnz.data() + i * tile_block_cols;
+        for (index_t j0 = 0; j0 < n; j0 += block) {
+          if (!reached(bi, j0)) continue;
+          const index_t j1 = std::min(j0 + block, n);
+          index_t count = 0;
+          for (index_t j = j0; j < j1; ++j) count += (row[j] != 0.0);
+          counts[j0 / block] = count;
+          row_ptr[i + 1] += count;
+        }
+      }
+    });
+    record_kernels();
     index_t tile_nnz = 0;
     for (index_t i = 0; i < m; ++i) {
       const index_t bi = (r0 + i) / block;
-      const value_t* row = target.data() + i * target.ld();
-      for (index_t j0 = 0; j0 < n; j0 += block) {
-        if (!reached(bi, j0)) continue;
-        const index_t j1 = std::min(j0 + block, n);
-        index_t count = 0;
-        for (index_t j = j0; j < j1; ++j) count += (row[j] != 0.0);
-        block_counts[bi * grid_cols + (c0 + j0) / block] +=
-            static_cast<double>(count);
-        row_ptr[i + 1] += count;
+      const index_t* counts = row_block_nnz.data() + i * tile_block_cols;
+      for (index_t jb = 0; jb < tile_block_cols; ++jb) {
+        block_counts[bi * grid_cols + (c0 + jb * block) / block] +=
+            static_cast<double>(counts[jb]);
       }
       tile_nnz += row_ptr[i + 1];
     }
@@ -494,41 +564,6 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
           Tile::MakeDenseCounted(r0, c0, std::move(target), tile_nnz);
     }
   } else {
-    // Seeds one region-local row of the accumulator into the SPA.
-    auto seed_row = [&](index_t i, SparseAccumulator* spa) {
-      for (const SeedWindow& sw : seeds) {
-        const index_t ti_local = sw.tr0 + (i - sw.out_r0);
-        if (i < sw.out_r0 || ti_local >= sw.tr1) continue;
-        if (sw.tile->is_dense()) {
-          const DenseMatrix& d = sw.tile->dense();
-          const value_t* src = d.data() + ti_local * d.ld();
-          for (index_t j = sw.tc0; j < sw.tc1; ++j) {
-            if (src[j] != 0.0) {
-              spa->Add(sw.out_c0 + j - sw.tc0, src[j]);
-            }
-          }
-        } else {
-          const CsrMatrix& sp = sw.tile->sparse();
-          index_t first, last;
-          sp.RowColRange(ti_local, sw.tc0, sw.tc1, &first, &last);
-          for (index_t p = first; p < last; ++p) {
-            spa->Add(sw.out_c0 + sp.col_idx()[p] - sw.tc0,
-                     sp.values()[p]);
-          }
-        }
-      }
-    };
-#if defined(ATMX_OBS_ENABLED)
-    // The SPA row loop interleaves all pairs, so per-pair timing does
-    // not exist; each pair still gets one complete event (emitted after
-    // the loop, covering the whole loop interval and flagged
-    // `interleaved`) so the "kernel" span count equals the kernel
-    // invocation counters.
-    const std::int64_t sparse_loop_start_ns =
-        obs::TraceRecorder::Global().enabled() ? obs::TraceRecorder::NowNanos()
-                                               : -1;
-    const obs::PerfSnapshot sparse_loop_begin = obs::PerfBeginSnapshot();
-#endif
     const int num_chunks =
         static_cast<int>(std::min<index_t>(team.size(), std::max<index_t>(
                                                             1, m / 64)));
@@ -543,7 +578,7 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
       SparseAccumulator spa;
       spa.ResizeAdaptive(n, expected_row_nnz);
       for (index_t i = 0; i < m; ++i) {
-        seed_row(i, &spa);
+        seed_row(i, [&spa](index_t j, value_t v) { spa.Add(j, v); });
         for (const PreparedPair& pp : prepared) {
           AccumulateRowInto(pp.a, pp.b, i, &spa);
         }
@@ -565,7 +600,7 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
         SparseAccumulator spa;
         spa.ResizeAdaptive(n, expected_row_nnz);
         for (index_t i = lo; i < hi; ++i) {
-          seed_row(i, &spa);
+          seed_row(i, [&spa](index_t j, value_t v) { spa.Add(j, v); });
           for (const PreparedPair& pp : prepared) {
             AccumulateRowInto(pp.a, pp.b, i, &spa);
           }
@@ -578,48 +613,11 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
           Tile::MakeSparse(r0, c0, ConcatCsrRowChunks(std::move(chunks),
                                                       m, n));
     }
-    for (const PreparedPair& pp : prepared) {
-      const KernelType kt =
-          DispatchKernelType(pp.a, pp.b, /*c_dense=*/false);
-      ++task_kernels[static_cast<int>(kt)];
-    }
-#if defined(ATMX_OBS_ENABLED)
-    const obs::PerfDelta sparse_loop_delta =
-        obs::PerfDeltaSince(sparse_loop_begin);
-    if (sparse_loop_delta.valid && !prepared.empty()) {
-      // The interleaved row loop has no per-pair hardware attribution; a
-      // single-variant loop (the common case) is attributed exactly to
-      // that variant, a mixed loop under a shared pseudo-variant rather
-      // than over-counting every variant with the full delta.
-      const KernelType kt0 = DispatchKernelType(
-          prepared.front().a, prepared.front().b, /*c_dense=*/false);
-      bool uniform = true;
-      for (const PreparedPair& pp : prepared) {
-        if (DispatchKernelType(pp.a, pp.b, /*c_dense=*/false) != kt0) {
-          uniform = false;
-          break;
-        }
-      }
-      obs::AccumulatePerfMetrics(uniform ? KernelPerfMetricPrefix(kt0)
-                                         : "kernel.mixed_sparse_loop",
-                                 sparse_loop_delta);
-    }
-    if (sparse_loop_start_ns >= 0 && !prepared.empty()) {
-      const std::int64_t dur_ns =
-          obs::TraceRecorder::NowNanos() - sparse_loop_start_ns;
-      std::vector<obs::TraceArg> loop_args = {
-          {"ti", ti},   {"tj", tj},          {"rows", m},
-          {"cols", n},  {"node", exec_node}, {"interleaved", 1}};
-      obs::AppendPerfArgs(sparse_loop_delta, &loop_args);
-      for (const PreparedPair& pp : prepared) {
-        const KernelType kt =
-            DispatchKernelType(pp.a, pp.b, /*c_dense=*/false);
-        obs::TraceRecorder::Global().RecordComplete(
-            "kernel", KernelTypeName(kt), sparse_loop_start_ns, dur_ns,
-            loop_args);
-      }
-    }
-#endif
+    record_kernels();
+  }
+  for (const PreparedPair& pp : prepared) {
+    ++task_kernels[static_cast<int>(
+        DispatchKernelType(pp.a, pp.b, c_dense))];
   }
   if (!c_dense) {
     const CsrMatrix& sp = c_tiles[task].sparse();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace atmx {
 
@@ -24,6 +25,19 @@ DenseMatrix::DenseMatrix(index_t rows, index_t cols)
   ATMX_CHECK_GE(rows, 0);
   ATMX_CHECK_GE(cols, 0);
   data_.assign(static_cast<std::size_t>(rows) * cols, 0.0);
+}
+
+DenseMatrix DenseMatrix::Uninitialized(index_t rows, index_t cols) {
+  ATMX_CHECK_GE(rows, 0);
+  ATMX_CHECK_GE(cols, 0);
+  DenseMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.data_.resize(static_cast<std::size_t>(rows) * cols);
+#if defined(ATMX_VALIDATE_DEBUG)
+  m.Fill(std::numeric_limits<value_t>::quiet_NaN());
+#endif
+  return m;
 }
 
 index_t DenseMatrix::CountNonZeros() const {

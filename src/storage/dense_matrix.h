@@ -6,6 +6,9 @@
 #define ATMX_STORAGE_DENSE_MATRIX_H_
 
 #include <cstddef>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -50,12 +53,42 @@ struct DenseMutView {
   DenseView AsConst() const { return {data, rows, cols, ld}; }
 };
 
+namespace internal {
+
+// std::allocator whose value-initializing construct() default-initializes
+// instead, so growing a vector of doubles leaves the new elements unset and
+// their pages untouched (DenseMatrix::Uninitialized). Every other
+// construction (fill, copy) behaves as with std::allocator.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+}  // namespace internal
+
 // Owning row-major dense matrix.
 class DenseMatrix {
  public:
   DenseMatrix() = default;
   // Allocates a zero-initialized rows x cols matrix.
   DenseMatrix(index_t rows, index_t cols);
+
+  // Allocates a rows x cols matrix without initializing its elements: the
+  // caller writes every element before reading any. Builds with
+  // ATMX_VALIDATE_DEBUG fill it with quiet NaNs, so an element the caller
+  // misses shows up as a NaN value and a wrong non-zero count.
+  static DenseMatrix Uninitialized(index_t rows, index_t cols);
 
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }
@@ -89,7 +122,7 @@ class DenseMatrix {
  private:
   index_t rows_ = 0;
   index_t cols_ = 0;
-  std::vector<value_t> data_;
+  std::vector<value_t, internal::DefaultInitAllocator<value_t>> data_;
 };
 
 // Max |a(i,j) - b(i,j)|; matrices must have identical shapes.

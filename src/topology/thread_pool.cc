@@ -15,7 +15,7 @@ namespace atmx {
 namespace {
 
 // Bounded spin before the condvar wait in WorkerLoop. ParallelRun is called
-// once per tile pair, so on small tiles the condvar wake latency dominates
+// once per tile task, so on small tiles the condvar wake latency dominates
 // the job itself; a short spin catches back-to-back jobs without burning a
 // core when the team is genuinely idle.
 constexpr int kWakeSpinIterations = 2048;

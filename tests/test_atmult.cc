@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <set>
+#include <utility>
+
 #include "gen/rmat.h"
 #include "gen/synthetic.h"
 #include "gen/workloads.h"
@@ -17,6 +21,9 @@
 #include "storage/convert.h"
 #include "tests/test_util.h"
 #include "tile/partitioner.h"
+#if defined(ATMX_OBS_ENABLED)
+#include "obs/metrics.h"
+#endif
 
 namespace atmx {
 namespace {
@@ -464,6 +471,108 @@ TEST(AtMultTest, ParkedAccumulatorIsReusedAllZero) {
                                << TileKindName(t.kind());
     }
   }
+}
+
+// A dense-planned tile's accumulator is allocated without a zero-fill; the
+// tile task's row loop zeroes, seeds, multiplies and counts it in 16-row
+// chunks on the team's threads. Debug builds fill the allocation with
+// NaNs, so a row the loop misses shows as NaN values and a wrong nnz.
+// A = diag(X, Y) with 32-row atomic blocks: the 68-row band is not a
+// multiple of 16, and every block spans two chunks. X has an empty block
+// row, so A * A's dense-planned tiles over X contain blocks the estimate
+// leaves unreached. MultiplyAdd's accumulator fills the (X rows, Y cols)
+// region, which makes its tiles dense-planned with seeds but no pair, and
+// has runs of entries across chunk and tile boundaries.
+TEST(AtMultTest, DenseRowChunksCoverEveryRow) {
+  AtmConfig config = TestConfig();
+  config.b_atomic = 32;
+  config.llc_bytes = 128 * 1024;
+  config.work_stealing = true;
+  const index_t nx = 256, ny = 68, n = nx + ny;
+  const CooMatrix x_full = GenerateUniform(nx, nx, nx * nx / 10, 31);
+  CooMatrix x(nx, nx);
+  for (const CooEntry& e : x_full.entries()) {
+    if (e.row < 32 || e.row >= 64) x.Add(e.row, e.col, e.value);
+  }
+  const CooMatrix a_coo =
+      BlockDiagonal(x, GenerateUniform(ny, ny, ny * ny / 6, 32));
+  CooMatrix c_coo(n, n);
+  for (index_t i = 0; i < nx; ++i) {
+    for (index_t j = nx; j < n; j += 2) c_coo.Add(i, j, 0.5 + i);
+  }
+  for (index_t i = 10; i < 150; ++i) {
+    c_coo.Add(i, 3, -1.0 - i);
+    c_coo.Add(i, 150, 0.25 * i);
+  }
+  for (index_t i = 250; i < n; ++i) c_coo.Add(i, 301, 2.0 * i);
+  const CsrMatrix a_csr = CooToCsr(a_coo);
+  const DenseMatrix product = CsrToDense(SpGemmCsr(a_csr, a_csr));
+
+  for (const bool add : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "add=" << add);
+    DenseMatrix expected = product;
+    if (add) {
+      for (const CooEntry& e : c_coo.entries()) {
+        expected.At(e.row, e.col) += e.value;
+      }
+    }
+    CsrMatrix first;
+    for (const int cores : {1, 2, 3}) {
+      SCOPED_TRACE(::testing::Message() << "cores_per_socket=" << cores);
+      config.cores_per_socket = cores;
+      const ATMatrix a = PartitionToAtm(a_coo, config);
+      const ATMatrix c_init = PartitionToAtm(c_coo, config);
+      const AtMult op(config);
+      AtMultStats stats;
+      const ATMatrix c = add ? op.MultiplyAdd(c_init, a, a, &stats)
+                             : op.Multiply(a, a, &stats);
+      EXPECT_EQ(stats.dense_result_tiles, add ? 7 : 5);
+      for (const Tile& t : c.tiles()) {
+        if (t.is_dense()) {
+          EXPECT_EQ(t.nnz(), t.dense().CountNonZeros())
+              << "dense tile at (" << t.row0() << "," << t.col0() << ")";
+        }
+      }
+      // A NaN differs from every expected value.
+      const CsrMatrix csr = c.ToCsr();
+      const DenseMatrix got = CsrToDense(csr);
+      index_t mismatches = 0;
+      for (index_t i = 0; i < n; ++i) {
+        for (index_t j = 0; j < n; ++j) {
+          mismatches +=
+              !(std::fabs(got.At(i, j) - expected.At(i, j)) <= 1e-9);
+        }
+      }
+      EXPECT_EQ(mismatches, 0);
+      if (cores == 1) {
+        first = csr;
+      } else {
+        EXPECT_EQ(csr.row_ptr(), first.row_ptr());
+        EXPECT_EQ(csr.col_idx(), first.col_idx());
+        EXPECT_EQ(csr.values(), first.values());
+      }
+    }
+  }
+
+#if defined(ATMX_OBS_ENABLED)
+  // On one team of two threads, each dense-planned tile with pairs and
+  // more than one chunk makes one parallel run, not one per pair.
+  config.num_sockets = 1;
+  config.cores_per_socket = 2;
+  const ATMatrix a = PartitionToAtm(a_coo, config);
+  const MultiplyPlan plan = ExplainMultiply(a, a, config);
+  std::set<std::pair<index_t, index_t>> chunked_tiles;
+  for (const ReprAuditRecord& r : plan.pairs) {
+    ASSERT_TRUE(r.c_dense) << "tile (" << r.ti << "," << r.tj << ")";
+    if (r.m > 16) chunked_tiles.emplace(r.ti, r.tj);
+  }
+  ASSERT_LT(chunked_tiles.size(), plan.pairs.size());
+  const obs::Counter& runs =
+      obs::MetricsRegistry::Global().GetCounter("threadpool.parallel_runs");
+  const std::uint64_t before = runs.Value();
+  AtMult(config).Multiply(a, a);
+  EXPECT_EQ(runs.Value() - before, chunked_tiles.size());
+#endif
 }
 
 TEST(AtMultTest, ChainedMultiplication) {

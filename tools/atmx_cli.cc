@@ -452,13 +452,13 @@ int CmdProfile(const std::string& a_path, const std::string& b_path) {
         "counters (task clock) only.\n\n");
   }
 
-  // Kernel variants = the eight GEMM kernels plus the interleaved-loop
-  // pseudo-variant and the SpMV entry points.
+  // Kernel variants = the eight GEMM kernels plus the pseudo-variant of a
+  // tile task's row loop that mixes variants, and the SpMV entry points.
   std::vector<std::string> variants;
   for (int k = 0; k < kNumKernelTypes; ++k) {
     variants.push_back(KernelPerfMetricPrefix(static_cast<KernelType>(k)));
   }
-  variants.push_back("kernel.mixed_sparse_loop");
+  variants.push_back("kernel.mixed_loop");
   variants.push_back("kernel.spmv_csr");
   variants.push_back("kernel.spmv_atm");
   variants.push_back("kernel.spmv_atm_parallel");
