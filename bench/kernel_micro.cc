@@ -1,16 +1,20 @@
 // Google-benchmark microbenchmarks of the eight multiplication kernels
 // (section III-A) on cache-sized tiles, including windowed (referenced
-// submatrix) variants. These are the kernel-level numbers the cost model
+// submatrix) variants, and of the operator's per-call fixed cost
+// (BM_SmallMultiply). The kernel numbers are what the cost model
 // abstracts; run with --benchmark_filter=... to narrow.
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "gen/rmat.h"
 #include "gen/synthetic.h"
 #include "kernels/dense_kernels.h"
 #include "kernels/mixed_kernels.h"
 #include "kernels/sparse_kernels.h"
+#include "ops/atmult.h"
 #include "storage/convert.h"
+#include "tile/partitioner.h"
 
 namespace atmx {
 namespace {
@@ -165,6 +169,44 @@ void BM_Convert_DenseToCsr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Convert_DenseToCsr);
+
+// Per-call fixed cost of the operator: one BFS level, a 16 x 16384
+// frontier holding range(0) entries times a degree-8 R-MAT adjacency, on
+// range(1) teams of range(1) threads at the 1 MiB LLC setting. At 16
+// entries the product is a few hundred flops, so the time is what every
+// call pays regardless of its size.
+void BM_SmallMultiply(benchmark::State& state) {
+  constexpr index_t kNodes = 1 << 14;
+  AtmConfig config;
+  config.llc_bytes = 1 << 20;
+  config.num_sockets = static_cast<int>(state.range(1));
+  config.cores_per_socket = static_cast<int>(state.range(1));
+  RmatParams params;
+  params.rows = params.cols = kNodes;
+  params.nnz = kNodes * 8;
+  params.a = 0.57;
+  params.b = 0.19;
+  params.c = 0.19;
+  params.seed = 21;
+  const ATMatrix adjacency = PartitionToAtm(GenerateRmat(params), config);
+  const ATMatrix frontier = PartitionToAtm(
+      GenerateUniform(16, kNodes, state.range(0), /*seed=*/22), config);
+  const AtMult op(config);
+  for (auto _ : state) {
+    ATMatrix c = op.Multiply(frontier, adjacency);
+    benchmark::DoNotOptimize(c.nnz());
+  }
+}
+BENCHMARK(BM_SmallMultiply)
+    ->ArgsProduct({{16, 256, 2000}, {1, 2}})
+    ->Unit(benchmark::kMicrosecond);
+// Four callers of one shape at once, each on its own operands: the wall
+// time over the calls of all four, the inverse of their throughput.
+BENCHMARK(BM_SmallMultiply)
+    ->ArgsProduct({{256}, {1, 2}})
+    ->Threads(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace atmx

@@ -22,6 +22,7 @@
 #if defined(ATMX_OBS_ENABLED)
 #include "obs/audit_ledger.h"
 #endif
+#include "ops/executor.h"
 #include "ops/optimizer.h"
 #include "ops/product_task.h"
 #include "tile/tile_lifetime.h"
@@ -558,8 +559,6 @@ ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
   }
 
   // --- Run the DAG. -----------------------------------------------------
-  TeamScheduler scheduler(teams, config.EffectiveThreadsPerTeam());
-
   auto run_task = [&](WorkerTeam& team, index_t task) {
     ProductNode& node = *nodes[static_cast<std::size_t>(node_of(task))];
     const index_t local = task - node.task_offset;
@@ -636,7 +635,9 @@ ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
   };
 
   ScheduleStats sched_stats;
-  scheduler.RunTaskGraph(
+  // On a pooled scheduler of the config's shape, lent for this statement
+  // only (ops/executor.h).
+  SchedulerLease(config)->RunTaskGraph(
       total_tasks, dep_count, successors,
       [&](index_t task) {
         // Tasks follow their result tile-row's round-robin home within

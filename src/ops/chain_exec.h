@@ -73,10 +73,11 @@ struct ProductNodeSpec {
 
 // Runs `nodes` — in post-order: operands before consumers, the last node
 // is the root whose result is returned — as one dependency-scheduled
-// tile-task DAG on a fresh TeamScheduler. A non-zero `budget_bytes`
-// admission-gates ready tasks against it (projected output bytes at each
-// node's planned map and threshold reserved up front, released as
-// consumers retire tiles; see ScheduleOptions::admit). Fills `stats`:
+// tile-task DAG on a pooled TeamScheduler of the config's shape
+// (ops/executor.h). A non-zero `budget_bytes` admission-gates ready tasks
+// against it (projected output bytes at each node's planned map and
+// threshold reserved up front, released as consumers retire tiles; see
+// ScheduleOptions::admit). Fills `stats`:
 // per_product in node order, total (plus the graph-wide conversions and
 // scheduler outcome), resident_peak_bytes and, for multi-node (fused)
 // graphs, fused/fused_tasks. Publishes the atmult.* registry counters and

@@ -4,6 +4,7 @@
 #include "kernels/simd/simd_dispatch.h"
 #include "kernels/simd/simd_kernels.h"
 #include "obs/obs.h"
+#include "ops/executor.h"
 #include "topology/thread_pool.h"
 
 namespace atmx {
@@ -74,7 +75,6 @@ std::vector<value_t> SpMVParallel(const ATMatrix& a,
   // reduced at the end.
   std::vector<std::vector<value_t>> partials(
       teams, std::vector<value_t>(a.rows(), 0.0));
-  TeamScheduler scheduler(teams, config.EffectiveThreadsPerTeam());
   // Static scheduling on purpose: which team runs a band decides which
   // partial vector it lands in, and the final reduction sums partials in
   // team order — stealing would reshuffle the floating-point addition
@@ -82,7 +82,7 @@ std::vector<value_t> SpMVParallel(const ATMatrix& a,
   // stealing has little to win here anyway.
   ScheduleOptions static_options;
   static_options.work_stealing = false;
-  scheduler.RunTasks(
+  internal::SchedulerLease(config)->RunTasks(
       a.num_row_bands(),
       [teams](index_t band) { return static_cast<int>(band % teams); },
       [&](WorkerTeam& team, index_t band) {

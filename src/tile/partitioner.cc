@@ -107,12 +107,13 @@ void MaterializeRegion(PartitionContext* ctx, std::uint64_t z0,
 // region still forwarded at the top.
 NodeResult RecQtPart(PartitionContext* ctx, std::uint64_t z0,
                      std::uint64_t z1) {
+  // The Z-space is square; a region wholly outside a non-square matrix is
+  // padding, and so is every region below it.
+  const RegionBox box = RegionOf(*ctx, z0, z1);
+  if (box.rows <= 0 || box.cols <= 0) {
+    return {NodeStatus::kOutOfBounds, 0, false};
+  }
   if (z1 - z0 == 1) {
-    // Padding blocks of the Z-space lie wholly outside the matrix.
-    const RegionBox box = RegionOf(*ctx, z0, z1);
-    if (box.rows <= 0 || box.cols <= 0) {
-      return {NodeStatus::kOutOfBounds, 0, false};
-    }
     const index_t count = ctx->block_start[z1] - ctx->block_start[z0];
     const double area =
         static_cast<double>(box.rows) * static_cast<double>(box.cols);
@@ -161,7 +162,6 @@ NodeResult RecQtPart(PartitionContext* ctx, std::uint64_t z0,
 
   if (ctx->allow_melt && !any_materialized && homogeneous) {
     // Would the melted tile respect the maximum tile bounds (Eq. 1 & 2)?
-    const RegionBox box = RegionOf(*ctx, z0, z1);
     const index_t side = std::max(box.rows, box.cols);
     const bool fits = dense_class
                           ? ctx->policy->DenseTileFits(side)

@@ -134,9 +134,58 @@ TeamScheduler::TeamScheduler(int num_teams, int threads_per_team) {
   for (int t = 0; t < num_teams; ++t) {
     teams_.push_back(std::make_unique<WorkerTeam>(t, threads_per_team));
   }
+  drivers_.reserve(num_teams);
+  for (int t = 0; t < num_teams; ++t) {
+    drivers_.emplace_back([this, t] { DriverLoop(t); });
+  }
 }
 
-TeamScheduler::~TeamScheduler() = default;
+TeamScheduler::~TeamScheduler() {
+  {
+    MutexLock lock(mutex_);
+    ATMX_CHECK(batch_ == nullptr);
+    shutdown_ = true;
+  }
+  batch_posted_.NotifyAll();
+  for (auto& d : drivers_) d.join();
+}
+
+void TeamScheduler::DriverLoop(int team) {
+  std::uint64_t seen_generation = 0;
+  for (;;) {
+    const std::function<void(int)>* drive = nullptr;
+    {
+      MutexLock lock(mutex_);
+      while (!shutdown_ && generation_ == seen_generation) {
+        batch_posted_.Wait(mutex_);
+      }
+      if (shutdown_) return;
+      seen_generation = generation_;
+      drive = batch_;
+    }
+    (*drive)(team);
+    // The next batch is posted only after every driver left this one, so
+    // no driver skips a batch or runs one twice.
+    MutexLock lock(mutex_);
+    if (--busy_drivers_ == 0) batch_done_.NotifyAll();
+  }
+}
+
+double TeamScheduler::RunOnDrivers(const std::function<void(int)>& drive) {
+  MutexLock lock(mutex_);
+  // One batch at a time: wait until the running one (if any) is over.
+  while (batch_ != nullptr) batch_done_.Wait(mutex_);
+  WallTimer batch_timer;
+  batch_ = &drive;
+  busy_drivers_ = num_teams();
+  ++generation_;
+  batch_posted_.NotifyAll();
+  while (busy_drivers_ > 0) batch_done_.Wait(mutex_);
+  batch_ = nullptr;
+  // Wakes the next queued submitter.
+  batch_done_.NotifyAll();
+  return batch_timer.ElapsedSeconds();
+}
 
 void TeamScheduler::RunTasks(
     index_t num_tasks, const std::function<int(index_t)>& home_of,
@@ -277,148 +326,141 @@ void TeamScheduler::RunTaskGraph(
   stats.busy_seconds.assign(static_cast<std::size_t>(nt), 0.0);
   stats.cpu_seconds.assign(static_cast<std::size_t>(nt), 0.0);
   std::vector<double> max_task_seconds(static_cast<std::size_t>(nt), 0.0);
-  WallTimer makespan_timer;
 
-  // One driver thread per team drains that team's queue (and, when
+  // Each team's driver thread drains that team's queue (and, when
   // stealing, the tails of its victims); tile multiplications inside a
   // task parallelize over the team's threads.
-  std::vector<std::thread> drivers;
-  drivers.reserve(teams_.size());
-  for (int t = 0; t < nt; ++t) {
-    drivers.emplace_back([&, t] {
-      const std::size_t self = static_cast<std::size_t>(t);
-      index_t executed = 0;
-      index_t stolen = 0;
-      double busy = 0.0;
-      double cpu = 0.0;
-      double max_task = 0.0;
-      for (;;) {
-        index_t task = -1;
-        int source = -1;
-        bool forced = false;
-        {
-          MutexLock lock(state.mu);
-          for (;;) {
-            // Tasks never respawn: once every task is claimed (none queued,
-            // none parked) nothing is left for this driver, so it retires
-            // instead of waiting for the last completion.
-            if (state.claimed == num_tasks) break;
-            // A completed task may have freed resources: retry the oldest
-            // parked task before dequeuing new work, at most once per
-            // completion epoch (the front entry carries the minimal epoch,
-            // so a fresh front means nothing parked is retryable yet).
-            if (options.admit && !state.parked.empty() &&
-                state.parked.front().epoch < state.epoch) {
-              task = state.parked.front().task;
-              state.parked.pop_front();
-              source = homes[static_cast<std::size_t>(task)];
-              break;
-            }
-            if (!state.queues[self].empty()) {
-              task = state.queues[self].front();
-              state.queues[self].pop_front();
-              source = t;
-              break;
-            }
-            if (options.work_stealing) {
-              for (int v : victims[self]) {
-                auto& vq = state.queues[static_cast<std::size_t>(v)];
-                if (!vq.empty()) {
-                  task = vq.back();
-                  vq.pop_back();
-                  source = v;
-                  break;
-                }
-              }
-              if (source >= 0) break;
-            }
-            if (options.admit && !state.parked.empty() &&
-                state.claimed == state.completed) {
-              bool any_queued = false;
-              for (const auto& q : state.queues) {
-                if (!q.empty()) any_queued = true;
-              }
-              if (!any_queued) {
-                // Deadlock-free fallback: every ready task is parked and
-                // nothing is running that could release resources — admit
-                // the oldest parked task unconditionally.
-                task = state.parked.front().task;
-                state.parked.pop_front();
-                source = homes[static_cast<std::size_t>(task)];
-                forced = true;
+  stats.makespan_seconds = RunOnDrivers([&](int t) {
+    const std::size_t self = static_cast<std::size_t>(t);
+    index_t executed = 0;
+    index_t stolen = 0;
+    double busy = 0.0;
+    double cpu = 0.0;
+    double max_task = 0.0;
+    for (;;) {
+      index_t task = -1;
+      int source = -1;
+      bool forced = false;
+      {
+        MutexLock lock(state.mu);
+        for (;;) {
+          // Tasks never respawn: once every task is claimed (none queued,
+          // none parked) nothing is left for this driver, so it retires
+          // instead of waiting for the last completion.
+          if (state.claimed == num_tasks) break;
+          // A completed task may have freed resources: retry the oldest
+          // parked task before dequeuing new work, at most once per
+          // completion epoch (the front entry carries the minimal epoch,
+          // so a fresh front means nothing parked is retryable yet).
+          if (options.admit && !state.parked.empty() &&
+              state.parked.front().epoch < state.epoch) {
+            task = state.parked.front().task;
+            state.parked.pop_front();
+            source = homes[static_cast<std::size_t>(task)];
+            break;
+          }
+          if (!state.queues[self].empty()) {
+            task = state.queues[self].front();
+            state.queues[self].pop_front();
+            source = t;
+            break;
+          }
+          if (options.work_stealing) {
+            for (int v : victims[self]) {
+              auto& vq = state.queues[static_cast<std::size_t>(v)];
+              if (!vq.empty()) {
+                task = vq.back();
+                vq.pop_back();
+                source = v;
                 break;
               }
             }
-            // Nothing ready anywhere but tasks still in flight: their
-            // completions will release successors or parked retries.
-            state.ready_cv.Wait(state.mu);
+            if (source >= 0) break;
           }
-          if (source >= 0) ++state.claimed;
-        }
-        if (source < 0) break;
-        if (options.admit && !options.admit(task, forced)) {
-          // Gate rejected (never with forced set): park the task at the
-          // current epoch and rejoin the claim loop — if this rejection
-          // left nothing in flight, the force branch above fires next.
-          MutexLock lock(state.mu);
-          --state.claimed;
-          state.parked.push_back({task, state.epoch});
-          continue;
-        }
-        const bool was_stolen = source != t;
-        WallTimer task_timer;
-        ThreadCpuTimer task_cpu_timer;
-        {
-          ATMX_TRACE_SPAN_ARGS("sched", "task", {"team", t}, {"task", task},
-                               {"home", source},
-                               {"stolen", was_stolen ? 1 : 0});
-#if defined(ATMX_OBS_ENABLED)
-          if (was_stolen) {
-            obs::TraceRecorder::Global().RecordInstant(
-                "sched", "steal",
-                {{"thief", t}, {"victim", source}, {"task", task}});
-          }
-#endif
-          run(*teams_[self], task);
-        }
-        const double seconds = task_timer.ElapsedSeconds();
-        busy += seconds;
-        cpu += task_cpu_timer.ElapsedSeconds();
-        max_task = std::max(max_task, seconds);
-        ++executed;
-        if (was_stolen) ++stolen;
-        {
-          MutexLock lock(state.mu);
-          ++state.completed;
-          // A completion is the only event that frees admission resources:
-          // bump the epoch so every currently parked task earns one retry.
-          ++state.epoch;
-          for (index_t succ : successors[static_cast<std::size_t>(task)]) {
-            ATMX_CHECK(succ >= 0 && succ < num_tasks);
-            index_t& remaining = state.deps[static_cast<std::size_t>(succ)];
-            ATMX_CHECK_GT(remaining, 0);
-            if (--remaining == 0) {
-              // Front of the home queue: the successor consumes this
-              // task's freshly produced tile, so run it before colder
-              // initially-ready work.
-              state.queues[static_cast<std::size_t>(
-                               homes[static_cast<std::size_t>(succ)])]
-                  .push_front(succ);
+          if (options.admit && !state.parked.empty() &&
+              state.claimed == state.completed) {
+            bool any_queued = false;
+            for (const auto& q : state.queues) {
+              if (!q.empty()) any_queued = true;
+            }
+            if (!any_queued) {
+              // Deadlock-free fallback: every ready task is parked and
+              // nothing is running that could release resources — admit
+              // the oldest parked task unconditionally.
+              task = state.parked.front().task;
+              state.parked.pop_front();
+              source = homes[static_cast<std::size_t>(task)];
+              forced = true;
+              break;
             }
           }
+          // Nothing ready anywhere but tasks still in flight: their
+          // completions will release successors or parked retries.
+          state.ready_cv.Wait(state.mu);
         }
-        state.ready_cv.NotifyAll();
+        if (source >= 0) ++state.claimed;
       }
-      // Distinct slots per driver — no lock needed.
-      stats.executed_per_team[self] = executed;
-      stats.stolen_per_team[self] = stolen;
-      stats.busy_seconds[self] = busy;
-      stats.cpu_seconds[self] = cpu;
-      max_task_seconds[self] = max_task;
-    });
-  }
-  for (auto& d : drivers) d.join();
-  stats.makespan_seconds = makespan_timer.ElapsedSeconds();
+      if (source < 0) break;
+      if (options.admit && !options.admit(task, forced)) {
+        // Gate rejected (never with forced set): park the task at the
+        // current epoch and rejoin the claim loop — if this rejection
+        // left nothing in flight, the force branch above fires next.
+        MutexLock lock(state.mu);
+        --state.claimed;
+        state.parked.push_back({task, state.epoch});
+        continue;
+      }
+      const bool was_stolen = source != t;
+      WallTimer task_timer;
+      ThreadCpuTimer task_cpu_timer;
+      {
+        ATMX_TRACE_SPAN_ARGS("sched", "task", {"team", t}, {"task", task},
+                             {"home", source},
+                             {"stolen", was_stolen ? 1 : 0});
+#if defined(ATMX_OBS_ENABLED)
+        if (was_stolen) {
+          obs::TraceRecorder::Global().RecordInstant(
+              "sched", "steal",
+              {{"thief", t}, {"victim", source}, {"task", task}});
+        }
+#endif
+        run(*teams_[self], task);
+      }
+      const double seconds = task_timer.ElapsedSeconds();
+      busy += seconds;
+      cpu += task_cpu_timer.ElapsedSeconds();
+      max_task = std::max(max_task, seconds);
+      ++executed;
+      if (was_stolen) ++stolen;
+      {
+        MutexLock lock(state.mu);
+        ++state.completed;
+        // A completion is the only event that frees admission resources:
+        // bump the epoch so every currently parked task earns one retry.
+        ++state.epoch;
+        for (index_t succ : successors[static_cast<std::size_t>(task)]) {
+          ATMX_CHECK(succ >= 0 && succ < num_tasks);
+          index_t& remaining = state.deps[static_cast<std::size_t>(succ)];
+          ATMX_CHECK_GT(remaining, 0);
+          if (--remaining == 0) {
+            // Front of the home queue: the successor consumes this
+            // task's freshly produced tile, so run it before colder
+            // initially-ready work.
+            state.queues[static_cast<std::size_t>(
+                             homes[static_cast<std::size_t>(succ)])]
+                .push_front(succ);
+          }
+        }
+      }
+      state.ready_cv.NotifyAll();
+    }
+    // Distinct slots per driver — no lock needed.
+    stats.executed_per_team[self] = executed;
+    stats.stolen_per_team[self] = stolen;
+    stats.busy_seconds[self] = busy;
+    stats.cpu_seconds[self] = cpu;
+    max_task_seconds[self] = max_task;
+  });
   {
     MutexLock lock(state.mu);
     // A cyclic graph or inconsistent counts/edges would have deadlocked

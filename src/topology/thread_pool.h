@@ -121,9 +121,16 @@ struct ScheduleStats {
 // dry takes over whole tasks from the NUMA-nearest loaded team. Stealing
 // moves complete tasks, never splits one, so results are identical
 // regardless of which team executes a task.
+//
+// The teams and one driver thread per team are formed once, in the
+// constructor, and joined in the destructor (the paper forms its teams
+// once, III-F). Each batch is handed to those drivers; batches run one at
+// a time, so a caller that submits while another caller's batch runs
+// waits until that batch finished.
 class TeamScheduler {
  public:
   TeamScheduler(int num_teams, int threads_per_team);
+  // Joins the drivers; no batch may be running.
   ~TeamScheduler();
 
   TeamScheduler(const TeamScheduler&) = delete;
@@ -151,10 +158,13 @@ class TeamScheduler {
   // admission gate before running (see ScheduleOptions::admit); rejected
   // tasks park until a completion frees resources, with a forced admission
   // of the oldest parked task whenever nothing is in flight so
-  // backpressure can never deadlock the batch. A driver retires as soon as
-  // every task is claimed and none is parked. The graph must be acyclic
-  // with consistent counts/edges or the call deadlocks its drivers; both
-  // are checked on completion.
+  // backpressure can never deadlock the batch. A driver leaves the batch as
+  // soon as every task is claimed and none is parked. The graph must be
+  // acyclic with consistent counts/edges or the call deadlocks its drivers;
+  // both are checked on completion. Safe to call from several threads: a
+  // call waits for the running batch before it hands its own to the
+  // drivers. Not reentrant: a task must not submit to the scheduler that
+  // runs it.
   void RunTaskGraph(index_t num_tasks,
                     const std::vector<index_t>& dep_count,
                     const std::vector<std::vector<index_t>>& successors,
@@ -170,7 +180,24 @@ class TeamScheduler {
                 ScheduleStats* stats = nullptr);
 
  private:
+  // Hands `drive` to every driver — driver t runs drive(t) — and returns
+  // once all of them returned, with the seconds from hand-over to then.
+  // Waits first while another batch runs.
+  double RunOnDrivers(const std::function<void(int)>& drive);
+  void DriverLoop(int team);
+
   std::vector<std::unique_ptr<WorkerTeam>> teams_;
+  std::vector<std::thread> drivers_;
+
+  Mutex mutex_;
+  CondVar batch_posted_;  // drivers: a new batch or shutdown
+  CondVar batch_done_;    // submitters: drivers finished, scheduler free
+  // The running batch; non-null from post to the last driver's return,
+  // which is the flag later submitters wait on.
+  const std::function<void(int)>* batch_ ATMX_GUARDED_BY(mutex_) = nullptr;
+  std::uint64_t generation_ ATMX_GUARDED_BY(mutex_) = 0;  // batches posted
+  int busy_drivers_ ATMX_GUARDED_BY(mutex_) = 0;  // still in the batch
+  bool shutdown_ ATMX_GUARDED_BY(mutex_) = false;
 };
 
 }  // namespace atmx

@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "estimate/density_estimator.h"
 #include "gen/synthetic.h"
 #include "kernels/kernel_dispatch.h"
 #include "obs/audit_ledger.h"
@@ -396,6 +399,45 @@ TEST(ObsIntegrationTest, SpanCountMatchesKernelCounters) {
     rec.Clear();
     ledger.Clear();
   }
+}
+
+// One Multiply adds one observation per result block to
+// atmult.estimator.abs_error: |estimate - actual| of the operator's
+// up-front estimate, in exactly the buckets the test computes itself.
+TEST(ObsIntegrationTest, EstimatorErrorHistogramMatchesBlockErrors) {
+  AtmConfig config = TestConfig();
+  const ATMatrix a = PartitionToAtm(RandomCoo(160, 96, 1500, 41), config);
+  const ATMatrix b = PartitionToAtm(RandomCoo(96, 128, 1200, 42), config);
+  const std::vector<double> bounds = {0.001, 0.005, 0.01, 0.05,
+                                      0.1,   0.25,  0.5,  1.0};
+  obs::Histogram& h =
+      MetricsRegistry::Global().GetHistogram("atmult.estimator.abs_error",
+                                             bounds);
+  ASSERT_EQ(h.bounds(), bounds);
+  const std::vector<std::uint64_t> before = h.BucketCounts();
+  const std::uint64_t count_before = h.TotalCount();
+
+  const ATMatrix c = AtMult(config).Multiply(a, b);
+
+  const DensityMap estimate =
+      EstimateProductDensity(a.density_map(), b.density_map());
+  const DensityMap& actual = c.density_map();
+  std::vector<std::uint64_t> expected(bounds.size() + 1, 0);
+  for (index_t bi = 0; bi < actual.grid_rows(); ++bi) {
+    for (index_t bj = 0; bj < actual.grid_cols(); ++bj) {
+      const double err = std::abs(estimate.At(bi, bj) - actual.At(bi, bj));
+      ++expected[static_cast<std::size_t>(
+          std::lower_bound(bounds.begin(), bounds.end(), err) -
+          bounds.begin())];
+    }
+  }
+  const std::vector<std::uint64_t> after = h.BucketCounts();
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], expected[i]) << "bucket " << i;
+  }
+  EXPECT_EQ(h.TotalCount() - count_before,
+            static_cast<std::uint64_t>(actual.grid_rows() *
+                                       actual.grid_cols()));
 }
 
 // --- Memory tracker. ------------------------------------------------------

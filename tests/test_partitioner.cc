@@ -1,13 +1,15 @@
 // Tests of the recursive quadtree partitioner (Alg. 1): structural
 // validity, content preservation, density-class materialization, melting
 // behaviour, tiling modes, the hypersparse single-tile property, and a
-// bitwise pin of the output on the Table I workloads.
+// bitwise pin of the output on the Table I workloads and on non-square
+// shapes.
 
 #include "tile/partitioner.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string_view>
 #include <utility>
 
 #include "common/math_util.h"
@@ -267,12 +269,11 @@ void PrintTo(const PinnedOutput& pin, std::ostream* os) { *os << pin.id; }
 
 class PartitionerPinTest : public ::testing::TestWithParam<PinnedOutput> {};
 
-// Table I workloads at scale 0.05 (seed 0) under the benches' 1 MiB LLC on
-// 2 sockets x 2 cores. The hashes pin the output bitwise: a partitioner
-// change that moves any of them changes what callers observe.
-TEST_P(PartitionerPinTest, TableI) {
-  const PinnedOutput& pin = GetParam();
-  const CooMatrix coo = MakeWorkloadMatrix(pin.id, 0.05, /*seed=*/0);
+// Partitions `coo` in all three tiling modes under the benches' 1 MiB LLC
+// on 2 sockets x 2 cores and compares each output's hash with the pin. The
+// hashes pin the output bitwise: a partitioner change that moves any of
+// them changes what callers observe.
+void ExpectPinnedOutput(const CooMatrix& coo, const PinnedOutput& pin) {
   AtmConfig config;
   config.llc_bytes = 1 << 20;
   config.num_sockets = 2;
@@ -286,6 +287,12 @@ TEST_P(PartitionerPinTest, TableI) {
     EXPECT_EQ(hash, expected) << pin.id << " " << TilingModeName(mode)
                               << ": computed 0x" << std::hex << hash;
   }
+}
+
+// Table I workloads at scale 0.05 (seed 0).
+TEST_P(PartitionerPinTest, TableI) {
+  const PinnedOutput& pin = GetParam();
+  ExpectPinnedOutput(MakeWorkloadMatrix(pin.id, 0.05, /*seed=*/0), pin);
 }
 
 constexpr PinnedOutput kPinnedTableI[] = {
@@ -329,6 +336,45 @@ constexpr PinnedOutput kPinnedTableI[] = {
 
 INSTANTIATE_TEST_SUITE_P(, PartitionerPinTest,
                          ::testing::ValuesIn(kPinnedTableI),
+                         [](const auto& info) {
+                           return std::string(info.param.id);
+                         });
+
+// Non-square shapes, where most of the square Z-space the recursion
+// splits lies outside the matrix: BFS frontiers (one root per row, and a
+// later, fuller level), a single row and the dense n x 64 panel of a
+// chain's right operand.
+class PartitionerPinNonSquareTest : public PartitionerPinTest {};
+
+CooMatrix NonSquareMatrix(std::string_view id) {
+  if (id == "Frontier16") {
+    CooMatrix coo(16, 16384);
+    for (index_t s = 0; s < 16; ++s) coo.Add(s, (s * 7919) % 16384, 1.0);
+    return coo;
+  }
+  if (id == "Frontier2000") return RandomCoo(16, 16384, 2000, /*seed=*/7);
+  if (id == "Row") return RandomCoo(1, 5000, 300, /*seed=*/8);
+  return DenseToCoo(GenerateFullDense(3000, 64, /*seed=*/9));  // "Panel"
+}
+
+TEST_P(PartitionerPinNonSquareTest, AllModes) {
+  const PinnedOutput& pin = GetParam();
+  ExpectPinnedOutput(NonSquareMatrix(pin.id), pin);
+}
+
+constexpr PinnedOutput kPinnedNonSquare[] = {
+    {"Frontier16", 0x2de58768345b5971ULL, 0x8c0ded0b61eb6f6fULL,
+     0x2de58768345b5971ULL},
+    {"Frontier2000", 0x36ff0a9d2cb5eaa1ULL, 0xe24347a646b21511ULL,
+     0x36ff0a9d2cb5eaa1ULL},
+    {"Row", 0xce67f9c3fec58d3cULL, 0x451a2d507b79d5adULL,
+     0xce67f9c3fec58d3cULL},
+    {"Panel", 0x6f643905efa7c083ULL, 0x6f643905efa7c083ULL,
+     0x49bb3b4bb395f8f3ULL},
+};
+
+INSTANTIATE_TEST_SUITE_P(, PartitionerPinNonSquareTest,
+                         ::testing::ValuesIn(kPinnedNonSquare),
                          [](const auto& info) {
                            return std::string(info.param.id);
                          });

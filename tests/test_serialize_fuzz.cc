@@ -111,21 +111,24 @@ struct Subject {
   std::string path;
 };
 
-std::vector<Subject> WriteSubjects() {
+// Writes one file per format, named `<prefix>.<format>.bin`. Each test
+// passes its own prefix: ctest runs the cases as separate processes, which
+// may share the temp directory and run at once.
+std::vector<Subject> WriteSubjects(const std::string& prefix) {
   std::vector<Subject> subjects;
 
   CooMatrix coo = RandomCoo(23, 31, 140, /*seed=*/1);
-  const std::string coo_path = TempPath("fuzz.coo.bin");
+  const std::string coo_path = TempPath(prefix + ".coo.bin");
   EXPECT_TRUE(SaveMatrix(coo, coo_path).ok());
   subjects.push_back({Kind::kCoo, coo_path});
 
   CsrMatrix csr = CooToCsr(RandomCoo(28, 19, 120, /*seed=*/2));
-  const std::string csr_path = TempPath("fuzz.csr.bin");
+  const std::string csr_path = TempPath(prefix + ".csr.bin");
   EXPECT_TRUE(SaveMatrix(csr, csr_path).ok());
   subjects.push_back({Kind::kCsr, csr_path});
 
   DenseMatrix dense = GenerateFullDense(13, 17, /*seed=*/3);
-  const std::string dense_path = TempPath("fuzz.dense.bin");
+  const std::string dense_path = TempPath(prefix + ".dense.bin");
   EXPECT_TRUE(SaveMatrix(dense, dense_path).ok());
   subjects.push_back({Kind::kDense, dense_path});
 
@@ -135,7 +138,7 @@ std::vector<Subject> WriteSubjects() {
       PartitionToAtm(GenerateDiagonalDenseBlocks(80, 3, 16, 0.9, 200,
                                                  /*seed=*/4),
                      config);
-  const std::string atm_path = TempPath("fuzz.atm.bin");
+  const std::string atm_path = TempPath(prefix + ".atm.bin");
   EXPECT_TRUE(SaveMatrix(atm, atm_path).ok());
   subjects.push_back({Kind::kAtm, atm_path});
 
@@ -171,7 +174,7 @@ TEST(SerializeFuzzTest, RoundTripThenValidate) {
 }
 
 TEST(SerializeFuzzTest, TruncationAtEveryBoundaryReturnsStatus) {
-  const std::vector<Subject> subjects = WriteSubjects();
+  const std::vector<Subject> subjects = WriteSubjects("fuzz_truncation");
   const std::string path = TempPath("truncated.bin");
   for (const Subject& subject : subjects) {
     const std::vector<char> bytes = ReadFile(subject.path);
@@ -209,7 +212,7 @@ TEST(SerializeFuzzTest, TruncationAtEveryBoundaryReturnsStatus) {
 }
 
 TEST(SerializeFuzzTest, RandomByteCorruptionNeverCrashes) {
-  const std::vector<Subject> subjects = WriteSubjects();
+  const std::vector<Subject> subjects = WriteSubjects("fuzz_corruption");
   const std::string path = TempPath("corrupt.bin");
   Rng rng(1234);
   for (const Subject& subject : subjects) {
