@@ -4,9 +4,13 @@
 // on an arbitrary rectangular subpart of a tile, identified by the window
 // [r0, r1) x [c0, c1) in tile-local coordinates. Dense operands carry the
 // window implicitly via a DenseView (pointer + lda, exactly the BLAS gemm
-// convention); sparse operands carry the CSR tile plus an explicit window
-// that the kernels resolve with per-row binary search on the sorted column
-// ids.
+// convention); sparse operands carry a CSR matrix plus an explicit window.
+// A window spanning all of the matrix's columns reads each row from its
+// row pointers; a narrower one is resolved by binary search on the row's
+// sorted column ids. Products hand the kernels a right operand tile's
+// column-band slice (ATMatrix::col_band_slices) with a full-width window
+// where the tile has one, and the tile itself with a narrower window where
+// it has none.
 
 #ifndef ATMX_KERNELS_KERNEL_COMMON_H_
 #define ATMX_KERNELS_KERNEL_COMMON_H_

@@ -322,7 +322,10 @@ ATMatrix RunProductGraph(const std::vector<ProductNodeSpec>& specs,
     }
     if (spec.right != nullptr) {
       ATMX_CHECK_EQ(spec.right->b_atomic(), block);
-      ctx.b = OperandView::FromMatrix(*spec.right);
+      // A leaf right operand's tasks read its wide sparse tiles through
+      // their column-band slices, built here (once per matrix) before any
+      // task runs.
+      ctx.b = OperandView::FromMatrix(*spec.right, /*col_band_slices=*/true);
       ctx.b_cache = spec.right_cache;
     } else {
       ProductNode& r = *nodes[static_cast<std::size_t>(spec.right_node)];

@@ -18,24 +18,15 @@
 
 namespace atmx::internal {
 
-OperandView OperandView::FromMatrix(const ATMatrix& m) {
+OperandView OperandView::FromMatrix(const ATMatrix& m,
+                                    bool col_band_slices) {
   OperandView v;
+  v.matrix_ = &m;
+  if (col_band_slices) v.slices_ = &m.col_band_slices();
   v.tiles_ = &m.tiles();
   v.row_bounds_ = &m.row_bounds();
   v.col_bounds_ = &m.col_bounds();
   v.map_ = &m.density_map();
-  v.row_band_tiles_.resize(static_cast<std::size_t>(m.num_row_bands()));
-  for (index_t band = 0; band < m.num_row_bands(); ++band) {
-    const auto span = m.TilesInRowBand(band);
-    v.row_band_tiles_[static_cast<std::size_t>(band)].assign(span.begin(),
-                                                             span.end());
-  }
-  v.col_band_tiles_.resize(static_cast<std::size_t>(m.num_col_bands()));
-  for (index_t band = 0; band < m.num_col_bands(); ++band) {
-    const auto span = m.TilesInColBand(band);
-    v.col_band_tiles_[static_cast<std::size_t>(band)].assign(span.begin(),
-                                                             span.end());
-  }
   return v;
 }
 
@@ -397,6 +388,10 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
           bt.is_dense() ? bt.dense() : ctx.b_cache->GetDense(b_idx, bt);
       pp.b = Operand::Dense(
           dm.View().Window(wb.r0, wb.c0, wb.rows(), wb.cols()));
+    } else if (const CsrMatrix* slice = b.BandSlice(b_idx, tj)) {
+      // The band's slice holds exactly the window's columns, rebased: a
+      // full-width window reads each row from its row pointers.
+      pp.b = Operand::Sparse(slice, {wb.r0, wb.r1, 0, n});
     } else {
       const CsrMatrix& sm =
           bt.is_dense() ? ctx.b_cache->GetSparse(b_idx, bt) : bt.sparse();

@@ -35,16 +35,20 @@ namespace atmx::internal {
 
 // Band-level view of one multiplication operand. Either a finished
 // ATMatrix, or a row-band x col-band grid of tiles that another product is
-// still filling in (the fused-chain intermediate). The view carries its
-// own band->tile index lists so both shapes expose the identical
-// iteration order (tiles within a row band ordered by col0, within a col
-// band by row0 — for the grid this is exactly the tj / ti order, matching
-// what ATMatrix::BuildBands would produce for the same tiles).
+// still filling in (the fused-chain intermediate). Both shapes expose the
+// identical iteration order (tiles within a row band ordered by col0,
+// within a col band by row0): a matrix's own band lists, and for the grid
+// the tj / ti order, which is what ATMatrix::BuildBands would produce for
+// the same tiles.
 class OperandView {
  public:
   OperandView() = default;
 
-  static OperandView FromMatrix(const ATMatrix& m);
+  // Matrix mode. With `col_band_slices` (a product graph's right leaf
+  // operand) the view builds the matrix's column-band slices, unless it
+  // has them already, and BandSlice serves them.
+  static OperandView FromMatrix(const ATMatrix& m,
+                                bool col_band_slices = false);
 
   // Grid mode: `tiles` has one slot per (row band, col band) pair, row
   // major — slot ti * (col_bounds->size() - 1) + tj. Slots may be filled
@@ -67,21 +71,34 @@ class OperandView {
   const std::vector<index_t>& col_bounds() const { return *col_bounds_; }
 
   std::span<const index_t> TilesInRowBand(index_t band) const {
-    return row_band_tiles_[static_cast<std::size_t>(band)];
+    return matrix_ != nullptr
+               ? matrix_->TilesInRowBand(band)
+               : row_band_tiles_[static_cast<std::size_t>(band)];
   }
   std::span<const index_t> TilesInColBand(index_t band) const {
-    return col_band_tiles_[static_cast<std::size_t>(band)];
+    return matrix_ != nullptr
+               ? matrix_->TilesInColBand(band)
+               : col_band_tiles_[static_cast<std::size_t>(band)];
   }
   const Tile& tile(index_t idx) const {
     return (*tiles_)[static_cast<std::size_t>(idx)];
   }
   const DensityMap& map() const { return *map_; }
 
+  // Column-band slice of tile `idx` at column band `band`, or null when the
+  // view serves no slices or the tile has none.
+  const CsrMatrix* BandSlice(index_t idx, index_t band) const {
+    return slices_ != nullptr ? slices_->Find(idx, band) : nullptr;
+  }
+
  private:
+  const ATMatrix* matrix_ = nullptr;  // matrix mode
+  const ColBandSlices* slices_ = nullptr;
   const std::vector<Tile>* tiles_ = nullptr;
   const std::vector<index_t>* row_bounds_ = nullptr;
   const std::vector<index_t>* col_bounds_ = nullptr;
   const DensityMap* map_ = nullptr;
+  // Grid mode's band lists.
   std::vector<std::vector<index_t>> row_band_tiles_;
   std::vector<std::vector<index_t>> col_band_tiles_;
 };

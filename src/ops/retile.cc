@@ -5,33 +5,11 @@
 
 #include "common/check.h"
 #include "obs/obs.h"
+#include "storage/convert.h"
 
 namespace atmx {
 
 namespace {
-
-// CSR column slice [c0, c1) of `src`, with column ids rebased to c0.
-CsrMatrix SliceCsrColumns(const CsrMatrix& src, index_t c0, index_t c1) {
-  std::vector<index_t> row_ptr(src.rows() + 1, 0);
-  // First pass: per-row counts in the slice.
-  std::vector<std::pair<index_t, index_t>> ranges(src.rows());
-  for (index_t i = 0; i < src.rows(); ++i) {
-    src.RowColRange(i, c0, c1, &ranges[i].first, &ranges[i].second);
-    row_ptr[i + 1] = row_ptr[i] + (ranges[i].second - ranges[i].first);
-  }
-  std::vector<index_t> col_idx(row_ptr.back());
-  std::vector<value_t> values(row_ptr.back());
-  for (index_t i = 0; i < src.rows(); ++i) {
-    index_t out = row_ptr[i];
-    for (index_t p = ranges[i].first; p < ranges[i].second; ++p) {
-      col_idx[out] = src.col_idx()[p] - c0;
-      values[out] = src.values()[p];
-      ++out;
-    }
-  }
-  return CsrMatrix(src.rows(), c1 - c0, std::move(row_ptr),
-                   std::move(col_idx), std::move(values));
-}
 
 DenseMatrix SliceDenseColumns(const DenseMatrix& src, index_t c0,
                               index_t c1) {
@@ -80,7 +58,7 @@ ATMatrix RetileColumns(const ATMatrix& a,
             SliceDenseColumns(t.dense(), local0, local1)));
       } else {
         tiles.push_back(Tile::MakeSparse(
-            t.row0(), cuts[s], SliceCsrColumns(t.sparse(), local0, local1)));
+            t.row0(), cuts[s], CsrColumnSlice(t.sparse(), local0, local1)));
       }
     }
   }

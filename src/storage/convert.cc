@@ -102,6 +102,30 @@ DenseMatrix CsrWindowToDense(const CsrMatrix& csr, index_t r0, index_t r1,
   return dense;
 }
 
+CsrMatrix CsrColumnSlice(const CsrMatrix& csr, index_t c0, index_t c1) {
+  ATMX_CHECK(c0 >= 0 && c1 <= csr.cols() && c0 <= c1);
+  // Count, then copy.
+  std::vector<index_t> row_ptr(static_cast<std::size_t>(csr.rows()) + 1, 0);
+  std::vector<std::pair<index_t, index_t>> ranges(
+      static_cast<std::size_t>(csr.rows()));
+  for (index_t i = 0; i < csr.rows(); ++i) {
+    csr.RowColRange(i, c0, c1, &ranges[i].first, &ranges[i].second);
+    row_ptr[i + 1] = row_ptr[i] + (ranges[i].second - ranges[i].first);
+  }
+  std::vector<index_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
+  std::vector<value_t> values(static_cast<std::size_t>(row_ptr.back()));
+  for (index_t i = 0; i < csr.rows(); ++i) {
+    index_t out = row_ptr[i];
+    for (index_t p = ranges[i].first; p < ranges[i].second; ++p) {
+      col_idx[out] = csr.col_idx()[p] - c0;
+      values[out] = csr.values()[p];
+      ++out;
+    }
+  }
+  return CsrMatrix(csr.rows(), c1 - c0, std::move(row_ptr),
+                   std::move(col_idx), std::move(values));
+}
+
 CsrMatrix DenseToCsr(const DenseMatrix& dense) {
   return DenseWindowToCsr(dense.View());
 }

@@ -39,6 +39,11 @@ DenseMatrix CsrToDense(const CsrMatrix& csr);
 DenseMatrix CsrWindowToDense(const CsrMatrix& csr, index_t r0, index_t r1,
                              index_t c0, index_t c1);
 
+// CSR column slice [c0, c1) -> exactly sized CSR of shape rows x (c1-c0):
+// each row's entries in those columns, in order, with column ids rebased
+// to c0.
+CsrMatrix CsrColumnSlice(const CsrMatrix& csr, index_t c0, index_t c1);
+
 // Dense -> CSR keeping only non-zero elements.
 CsrMatrix DenseToCsr(const DenseMatrix& dense);
 

@@ -50,4 +50,14 @@ void CheckCsr(const CsrMatrix& m, const char* where) {
   if (!status.ok()) HookFailed("CsrMatrix", where, status);
 }
 
+void CheckColumnSlices(const CsrMatrix& whole,
+                       std::span<const CsrMatrix> slices,
+                       std::span<const index_t> bounds, index_t origin,
+                       const char* where) {
+  if (!Enabled()) return;
+  ScopedDisableValidation guard;
+  const Status status = ValidateColumnSlices(whole, slices, bounds, origin);
+  if (!status.ok()) HookFailed("column slices", where, status);
+}
+
 }  // namespace atmx::validate_debug

@@ -11,6 +11,10 @@
 #ifndef ATMX_VALIDATE_DEBUG_HOOKS_H_
 #define ATMX_VALIDATE_DEBUG_HOOKS_H_
 
+#include <span>
+
+#include "common/types.h"
+
 namespace atmx {
 
 class ATMatrix;
@@ -40,6 +44,11 @@ class ScopedDisableValidation {
 // `where` names the construction path for the failure message.
 void CheckAtm(const ATMatrix& m, const char* where);
 void CheckCsr(const CsrMatrix& m, const char* where);
+// Column slices of `whole` (see ValidateColumnSlices).
+void CheckColumnSlices(const CsrMatrix& whole,
+                       std::span<const CsrMatrix> slices,
+                       std::span<const index_t> bounds, index_t origin,
+                       const char* where);
 
 }  // namespace validate_debug
 }  // namespace atmx
@@ -47,12 +56,18 @@ void CheckCsr(const CsrMatrix& m, const char* where);
 #ifdef ATMX_VALIDATE_DEBUG
 #define ATMX_VALIDATE_ATM(m, where) ::atmx::validate_debug::CheckAtm(m, where)
 #define ATMX_VALIDATE_CSR(m, where) ::atmx::validate_debug::CheckCsr(m, where)
+#define ATMX_VALIDATE_COLUMN_SLICES(whole, slices, bounds, origin, where) \
+  ::atmx::validate_debug::CheckColumnSlices(whole, slices, bounds, origin, \
+                                            where)
 #else
 #define ATMX_VALIDATE_ATM(m, where) \
   do {                              \
   } while (false)
 #define ATMX_VALIDATE_CSR(m, where) \
   do {                              \
+  } while (false)
+#define ATMX_VALIDATE_COLUMN_SLICES(whole, slices, bounds, origin, where) \
+  do {                                                                  \
   } while (false)
 #endif
 

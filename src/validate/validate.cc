@@ -1,7 +1,9 @@
 #include "validate/validate.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
@@ -444,6 +446,59 @@ Status ValidateAtMatrix(const ATMatrix& m, const AtmValidateOptions& options) {
   }
   if (options.config != nullptr) {
     ATMX_RETURN_IF_ERROR(ValidateConfigBounds(m, *options.config));
+  }
+  return Status::Ok();
+}
+
+Status ValidateColumnSlices(const CsrMatrix& whole,
+                            std::span<const CsrMatrix> slices,
+                            std::span<const index_t> bounds, index_t origin) {
+  if (bounds.size() != slices.size() + 1 || bounds.front() != origin ||
+      bounds.back() != origin + whole.cols()) {
+    return Status::InvalidArgument(
+        Cat("slices: ", slices.size(), " slices over ", bounds.size(),
+            " bounds do not cover the ", whole.cols(), " columns"));
+  }
+  for (std::size_t s = 0; s < slices.size(); ++s) {
+    if (slices[s].rows() != whole.rows() ||
+        slices[s].cols() != bounds[s + 1] - bounds[s]) {
+      return Status::InvalidArgument(
+          Cat("slice ", s, ": shape ", slices[s].rows(), "x",
+              slices[s].cols(), ", want ", whole.rows(), "x",
+              bounds[s + 1] - bounds[s]));
+    }
+  }
+  const auto bits = [](value_t v) { return std::bit_cast<std::uint64_t>(v); };
+  for (index_t i = 0; i < whole.rows(); ++i) {
+    const auto cols = whole.RowCols(i);
+    const auto vals = whole.RowValues(i);
+    std::size_t p = 0;
+    for (std::size_t s = 0; s < slices.size(); ++s) {
+      const index_t shift = bounds[s] - origin;
+      const auto slice_cols = slices[s].RowCols(i);
+      const auto slice_vals = slices[s].RowValues(i);
+      for (std::size_t q = 0; q < slice_cols.size(); ++q, ++p) {
+        if (p >= cols.size()) {
+          return Status::InvalidArgument(
+              Cat("slice ", s, " row ", i, ": entry ", q, " (column ",
+                  slice_cols[q] + shift, ") is past the row's ", cols.size(),
+                  " entries"));
+        }
+        if (cols[p] != slice_cols[q] + shift ||
+            bits(vals[p]) != bits(slice_vals[q])) {
+          return Status::InvalidArgument(
+              Cat("slice ", s, " row ", i, ": entry ", q, " (column ",
+                  slice_cols[q] + shift, ", value ", slice_vals[q],
+                  ") differs from the row's entry ", p, " (column ", cols[p],
+                  ", value ", vals[p], ")"));
+        }
+      }
+    }
+    if (p != cols.size()) {
+      return Status::InvalidArgument(Cat("slices of row ", i, " hold ", p,
+                                         " of its ", cols.size(),
+                                         " entries"));
+    }
   }
   return Status::Ok();
 }

@@ -16,6 +16,8 @@
 #ifndef ATMX_VALIDATE_VALIDATE_H_
 #define ATMX_VALIDATE_VALIDATE_H_
 
+#include <span>
+
 #include "common/config.h"
 #include "common/status.h"
 #include "estimate/density_map.h"
@@ -84,6 +86,17 @@ struct AtmValidateOptions {
 // checks described on AtmValidateOptions.
 [[nodiscard]] Status ValidateAtMatrix(const ATMatrix& m,
                         const AtmValidateOptions& options = {});
+
+// Column slices of `whole` (ATMatrix::col_band_slices): slice s covers the
+// columns [bounds[s], bounds[s+1]) - origin of `whole`, rebased to its
+// first one. Every slice has whole's rows and its band's width, and for
+// every row the slices' entries, with columns shifted back by their band's
+// offset, join up to exactly the row of `whole`: the same columns and
+// bitwise the same values, in the same order.
+[[nodiscard]] Status ValidateColumnSlices(const CsrMatrix& whole,
+                                          std::span<const CsrMatrix> slices,
+                                          std::span<const index_t> bounds,
+                                          index_t origin);
 
 }  // namespace atmx
 

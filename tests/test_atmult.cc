@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <set>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "kernels/kernel_dispatch.h"
 #include "kernels/sparse_kernels.h"
 #include "ops/chain.h"
+#include "ops/elementwise.h"
 #include "ops/explain.h"
 #include "storage/convert.h"
 #include "tests/test_util.h"
@@ -573,6 +575,190 @@ TEST(AtMultTest, DenseRowChunksCoverEveryRow) {
   AtMult(config).Multiply(a, a);
   EXPECT_EQ(runs.Value() - before, chunked_tiles.size());
 #endif
+}
+
+// --- Column-band slices of wide right-operand tiles. ----------------------
+
+// Dense diagonal blocks on a uniform background. At 8-element atomic
+// blocks and a 64 KiB LLC the diagonal blocks cut the columns into 20
+// narrow bands, and the background melts into sparse tiles that span up to
+// ten of them. Seven of those pass the slicing rule; the 32 x 32 tiles
+// beside the diagonal blocks span four bands with fewer than 96 entries
+// and do not.
+CooMatrix WideTileMatrix() {
+  return GenerateDiagonalDenseBlocks(256, 4, 24, 0.9, 5000, 41);
+}
+
+// [w; u] for a 256 x 256 hypersparse u (32 entries): w's rows make
+// dense-target tasks of a product with w, u's rows sparse-target ones.
+CooMatrix StackedOverHypersparse(const CooMatrix& w) {
+  const CooMatrix u = GenerateUniform(256, 256, 32, 42);
+  CooMatrix out(w.rows() + u.rows(), w.cols());
+  for (const CooEntry& e : w.entries()) out.Add(e.row, e.col, e.value);
+  for (const CooEntry& e : u.entries()) {
+    out.Add(w.rows() + e.row, e.col, e.value);
+  }
+  return out;
+}
+
+AtmConfig WideTileConfig(int teams) {
+  AtmConfig config;
+  config.b_atomic = 8;
+  config.llc_bytes = 64 * 1024;
+  config.num_sockets = teams;
+  config.cores_per_socket = 2;
+  config.work_stealing = true;
+  config.fused_chains = true;
+  return config;
+}
+
+index_t ColBandsSpanned(const ATMatrix& m, const Tile& t) {
+  const auto& bounds = m.col_bounds();
+  return std::lower_bound(bounds.begin(), bounds.end(), t.col_end()) -
+         std::lower_bound(bounds.begin(), bounds.end(), t.col0());
+}
+
+// Planned pairs of a * b per kernel variant that read a stored-sparse B
+// tile's column-band slice.
+std::array<index_t, kNumKernelTypes> PairsReadingSlices(
+    const ATMatrix& a, const ATMatrix& b, const AtmConfig& config) {
+  std::array<index_t, kNumKernelTypes> pairs{};
+  for (const ReprAuditRecord& r : ExplainMultiply(a, b, config).pairs) {
+    if (r.b_dense()) continue;
+    for (const index_t idx : b.TilesInColBand(r.tj)) {
+      const Tile& t = b.tiles()[static_cast<std::size_t>(idx)];
+      if (t.row0() <= r.k0 && r.k0 < t.row_end() &&
+          b.col_band_slices().Find(idx, r.tj) != nullptr) {
+        ++pairs[static_cast<std::size_t>(r.kernel)];
+      }
+    }
+  }
+  return pairs;
+}
+
+void ExpectSameCsr(const CsrMatrix& want, const CsrMatrix& got) {
+  EXPECT_EQ(got.row_ptr(), want.row_ptr());
+  EXPECT_EQ(got.col_idx(), want.col_idx());
+  EXPECT_EQ(got.values(), want.values());
+}
+
+// B's wide sparse tiles that pass the slicing rule are read through their
+// column-band slices by the dense-target and sparse-target kernels alike.
+// Every value must be the Gustavson reference's, and bitwise the same for
+// every team count, and in the first calls (which build the slices) and
+// the second.
+TEST(AtMultTest, WideRightTilesReadColumnBandSlices) {
+  const CooMatrix b_coo = WideTileMatrix();
+  const CooMatrix a_coo = StackedOverHypersparse(b_coo);
+  const CooMatrix c_coo = RandomCoo(512, 256, 1500, 43);
+  const CsrMatrix b_csr = CooToCsr(b_coo);
+  const CsrMatrix ab = SpGemmCsr(CooToCsr(a_coo), b_csr);
+  const DenseMatrix want_product = CsrToDense(ab);
+  DenseMatrix want_sum = want_product;
+  for (const CooEntry& e : c_coo.entries()) {
+    want_sum.At(e.row, e.col) += e.value;
+  }
+  const DenseMatrix want_chain = CsrToDense(SpGemmCsr(ab, b_csr));
+
+  // Product, MultiplyAdd and fused chain results of the first calls on one
+  // team.
+  std::array<CsrMatrix, 3> first;
+  for (const int teams : {1, 2, 4}) {
+    SCOPED_TRACE(::testing::Message() << "teams=" << teams);
+    const AtmConfig config = WideTileConfig(teams);
+    const ATMatrix a = PartitionToAtm(a_coo, config);
+    const ATMatrix b = PartitionToAtm(b_coo, config);
+    const ATMatrix c_init = PartitionToAtm(c_coo, config);
+    const AtMult op(config);
+    const ChainPlan plan =
+        PlanChain({&a.density_map(), &b.density_map(), &b.density_map()},
+                  CostModel(), config.rho_write);
+    for (int round = 0; round < 2; ++round) {
+      SCOPED_TRACE(::testing::Message() << "round=" << round);
+      AtMultStats stats;
+      const ATMatrix product = op.Multiply(a, b, &stats);
+      EXPECT_GT(stats.kernel_invocations[static_cast<int>(KernelType::kSSD)],
+                0);
+      EXPECT_GT(stats.kernel_invocations[static_cast<int>(KernelType::kSSS)],
+                0);
+      ExpectAtmNearDense(want_product, product);
+      const ATMatrix sum = op.MultiplyAdd(c_init, a, b);
+      ExpectAtmNearDense(want_sum, sum);
+      ChainExecStats chain_stats;
+      const ATMatrix chain = ExecuteChain({&a, &b, &b}, plan, op, &chain_stats);
+      EXPECT_TRUE(chain_stats.fused);
+      ExpectAtmNearDense(want_chain, chain);
+      const std::array<CsrMatrix, 3> got = {product.ToCsr(), sum.ToCsr(),
+                                            chain.ToCsr()};
+      for (std::size_t r = 0; r < got.size(); ++r) {
+        if (teams == 1 && round == 0) {
+          first[r] = got[r];
+        } else {
+          SCOPED_TRACE(::testing::Message() << "result " << r);
+          ExpectSameCsr(first[r], got[r]);
+        }
+      }
+    }
+
+    // B has sliced tiles spanning three or more column bands, and a
+    // multi-band sparse tile below the rule, which stays windowed.
+    index_t wide_sliced = 0;
+    index_t below_rule = 0;
+    for (index_t idx = 0; idx < b.num_tiles(); ++idx) {
+      const Tile& t = b.tiles()[static_cast<std::size_t>(idx)];
+      const index_t bands = ColBandsSpanned(b, t);
+      if (t.is_dense() || bands < 2) continue;
+      const auto band0 = std::lower_bound(b.col_bounds().begin(),
+                                          b.col_bounds().end(), t.col0()) -
+                         b.col_bounds().begin();
+      const CsrMatrix* slice = b.col_band_slices().Find(idx, band0);
+      EXPECT_EQ(slice != nullptr, t.nnz() >= t.rows() * (bands - 1));
+      if (slice != nullptr && bands >= 3) ++wide_sliced;
+      if (slice == nullptr && t.nnz() > 0) ++below_rule;
+    }
+    EXPECT_GT(wide_sliced, 0);
+    EXPECT_GT(below_rule, 0);
+    // Both target paths read slices.
+    const auto pairs = PairsReadingSlices(a, b, config);
+    EXPECT_GT(pairs[static_cast<std::size_t>(KernelType::kSSD)], 0);
+    EXPECT_GT(pairs[static_cast<std::size_t>(KernelType::kSSS)], 0);
+  }
+}
+
+// Expects `got` to have the pattern of `want` and each value exactly
+// `factor` times want's.
+void ExpectScaledCsr(const CsrMatrix& want, const CsrMatrix& got,
+                     value_t factor) {
+  ASSERT_EQ(got.row_ptr(), want.row_ptr());
+  ASSERT_EQ(got.col_idx(), want.col_idx());
+  index_t mismatches = 0;
+  for (std::size_t p = 0; p < want.values().size(); ++p) {
+    mismatches += got.values()[p] != factor * want.values()[p];
+  }
+  EXPECT_EQ(mismatches, 0) << "factor " << factor;
+}
+
+// ScaleInPlace edits B's tiles through mutable_tiles(), which drops the
+// slices B's first product built: a product still reading them would miss
+// the scaling wherever B is read through a slice. Scaling by 2 is exact,
+// so the product scales bitwise. A copy shares its original's slices until
+// it is edited itself, which leaves the original's alone.
+TEST(AtMultTest, ScaleInPlaceDropsColumnBandSlices) {
+  const CooMatrix b_coo = WideTileMatrix();
+  const AtmConfig config = WideTileConfig(2);
+  const ATMatrix a = PartitionToAtm(StackedOverHypersparse(b_coo), config);
+  ATMatrix b = PartitionToAtm(b_coo, config);
+  const AtMult op(config);
+  const CsrMatrix first = op.Multiply(a, b).ToCsr();
+  ASSERT_GT(b.col_band_slices().sliced_tiles(), 0);
+
+  ATMatrix copy = b;
+  ScaleInPlace(&copy, 2.0);
+  ExpectScaledCsr(first, op.Multiply(a, copy).ToCsr(), 2.0);
+  ExpectScaledCsr(first, op.Multiply(a, b).ToCsr(), 1.0);
+
+  ScaleInPlace(&b, 2.0);
+  ExpectScaledCsr(first, op.Multiply(a, b).ToCsr(), 2.0);
 }
 
 TEST(AtMultTest, ChainedMultiplication) {

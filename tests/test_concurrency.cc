@@ -211,6 +211,48 @@ TEST(SharedExecutorTest, ConcurrentCallersMatchSoloRunsBitwise) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+// The first products with a matrix as right operand build its column-band
+// slices. Four callers make those first calls at once on a B that has never
+// been multiplied: one of them builds the slices and the others wait for
+// them, and every result must be bitwise the one a solo run gives.
+TEST(ConcurrencyTest, ColdColumnBandSlicesUnderConcurrentCallers) {
+  AtmConfig config;
+  config.b_atomic = 8;
+  config.llc_bytes = 64 * 1024;
+  config.num_sockets = 2;
+  config.cores_per_socket = 2;
+  config.work_stealing = true;
+  const CooMatrix coo = GenerateDiagonalDenseBlocks(256, 4, 24, 0.9, 5000, 41);
+  const ATMatrix a = PartitionToAtm(coo, config);
+  const ATMatrix solo_b = PartitionToAtm(coo, config);
+  const AtMult op(config);
+  const std::uint64_t solo = HashResult(op.Multiply(a, solo_b));
+  const ColBandSlices& solo_slices = solo_b.col_band_slices();
+  ASSERT_GT(solo_slices.sliced_tiles(), 0);
+
+  const ATMatrix cold_b = PartitionToAtm(coo, config);
+  constexpr int kCallers = 4;
+  std::atomic<int> arrived{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kCallers) std::this_thread::yield();
+      for (int round = 0; round < 2; ++round) {
+        if (HashResult(op.Multiply(a, cold_b)) != solo) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(cold_b.col_band_slices().sliced_tiles(),
+            solo_slices.sliced_tiles());
+  EXPECT_EQ(cold_b.col_band_slices().nnz(), solo_slices.nnz());
+}
+
 // Thread ids of this process (the entries of /proc/self/task).
 std::set<std::string> ThreadIds() {
   std::set<std::string> ids;

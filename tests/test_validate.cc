@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -303,6 +304,41 @@ TEST(ValidateAtMatrixTest, QuadtreeGeometryCatchesMisalignedTile) {
   AtmValidateOptions options;
   options.quadtree_geometry = true;
   EXPECT_FALSE(ValidateAtMatrix(atm, options).ok());
+}
+
+// A 4 x 10 matrix cut at columns 3 and 7 of a band grid whose first bound
+// is 20 (the matrix's column 0).
+TEST(ValidateColumnSlicesTest, SlicesJoinUpToTheRow) {
+  const CsrMatrix whole = CooToCsr(RandomCoo(4, 10, 18, 7));
+  const std::vector<index_t> bounds = {20, 23, 27, 30};
+  std::vector<CsrMatrix> slices;
+  for (std::size_t s = 0; s + 1 < bounds.size(); ++s) {
+    slices.push_back(CsrColumnSlice(whole, bounds[s] - 20, bounds[s + 1] - 20));
+  }
+  EXPECT_TRUE(ValidateColumnSlices(whole, slices, bounds, 20).ok());
+  // Wrong origin: the slices no longer cover the matrix's columns.
+  EXPECT_FALSE(ValidateColumnSlices(whole, slices, bounds, 19).ok());
+
+  // A slice missing its last entry is still a valid CSR, but the row it
+  // came from no longer joins up.
+  CsrMatrix& last = slices.back();
+  ASSERT_GT(last.nnz(), 0);
+  std::vector<index_t> row_ptr = last.row_ptr();
+  for (index_t& p : row_ptr) p = std::min(p, last.nnz() - 1);
+  std::vector<index_t> col_idx(last.col_idx().begin(),
+                               last.col_idx().end() - 1);
+  std::vector<value_t> values(last.values().begin(), last.values().end() - 1);
+  last = CsrMatrix(last.rows(), last.cols(), std::move(row_ptr),
+                   std::move(col_idx), std::move(values));
+  EXPECT_TRUE(ValidateCsr(last).ok());
+  EXPECT_EQ(ValidateColumnSlices(whole, slices, bounds, 20).code(),
+            StatusCode::kInvalidArgument);
+
+  // A changed value is caught as well.
+  slices.back() = CsrColumnSlice(whole, 7, 10);
+  ASSERT_GT(slices.front().nnz(), 0);
+  slices.front().mutable_values().front() += 1.0;
+  EXPECT_FALSE(ValidateColumnSlices(whole, slices, bounds, 20).ok());
 }
 
 TEST(DebugHooksTest, DisableScopeNests) {
